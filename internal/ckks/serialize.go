@@ -37,10 +37,10 @@ func UnmarshalCiphertext(params *Parameters, data []byte) (*Ciphertext, error) {
 	r := params.RingQP()
 	c0 := r.NewPoly(level)
 	c1 := r.NewPoly(level)
-	if rest, err = readPoly(rest, c0, isNTT); err != nil {
+	if rest, err = readPoly(rest, c0, isNTT, r.Moduli); err != nil {
 		return nil, err
 	}
-	if rest, err = readPoly(rest, c1, isNTT); err != nil {
+	if rest, err = readPoly(rest, c1, isNTT, r.Moduli); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -64,8 +64,9 @@ func UnmarshalPlaintext(params *Parameters, data []byte) (*Plaintext, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := params.RingQP().NewPoly(level)
-	if rest, err = readPoly(rest, v, isNTT); err != nil {
+	r := params.RingQP()
+	v := r.NewPoly(level)
+	if rest, err = readPoly(rest, v, isNTT, r.Moduli); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -100,6 +101,9 @@ func readHeader(params *Parameters, data []byte, magic [4]byte) (rest []byte, le
 	off += 4
 	level = int(binary.LittleEndian.Uint32(data[off:]))
 	off += 4
+	if data[off] > 1 {
+		return nil, 0, false, 0, fmt.Errorf("ckks: invalid domain flag %d", data[off])
+	}
 	isNTT = data[off] == 1
 	off++
 	scale = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
@@ -125,15 +129,22 @@ func appendPoly(buf []byte, p *ring.Poly) []byte {
 	return buf
 }
 
-func readPoly(data []byte, p *ring.Poly, isNTT bool) ([]byte, error) {
+// readPoly decodes p's limbs, rejecting any residue that is not reduced
+// modulo its limb's prime: the evaluator's kernels assume canonical input.
+func readPoly(data []byte, p *ring.Poly, isNTT bool, moduli []uint64) ([]byte, error) {
 	need := len(p.Coeffs) * len(p.Coeffs[0]) * 8
 	if len(data) < need {
 		return nil, fmt.Errorf("ckks: truncated polynomial (%d of %d bytes)", len(data), need)
 	}
 	off := 0
-	for _, limb := range p.Coeffs {
+	for i, limb := range p.Coeffs {
+		q := moduli[i]
 		for j := range limb {
-			limb[j] = binary.LittleEndian.Uint64(data[off:])
+			c := binary.LittleEndian.Uint64(data[off:])
+			if c >= q {
+				return nil, fmt.Errorf("ckks: limb %d coefficient %d is %d, not below its modulus %d", i, j, c, q)
+			}
+			limb[j] = c
 			off += 8
 		}
 	}

@@ -60,14 +60,24 @@ func TestUnmarshalRejectsCorruptData(t *testing.T) {
 	pt, _ := tc.enc.Encode(make([]complex128, tc.params.Slots()))
 	ct := tc.encr.Encrypt(pt)
 	data := MarshalCiphertext(ct)
+	// Header: magic(4) N(4) level(4) domain flag(1) scale(8), then limb 0.
+	const flagOff, coeffOff = 12, 21
+	badFlag := append([]byte{}, data...)
+	badFlag[flagOff] = 7
+	unreduced := append([]byte{}, data...)
+	for i := coeffOff; i < coeffOff+8; i++ {
+		unreduced[i] = 0xff
+	}
 
 	cases := map[string][]byte{
-		"empty":      nil,
-		"bad magic":  append([]byte{'X'}, data[1:]...),
-		"truncated":  data[:len(data)/3],
-		"trailing":   append(append([]byte{}, data...), 1, 2, 3),
-		"pt as ct":   MarshalPlaintext(pt),
-		"wrong ring": nil,
+		"domain flag 7": badFlag,
+		"coeff >= q":    unreduced,
+		"empty":         nil,
+		"bad magic":     append([]byte{'X'}, data[1:]...),
+		"truncated":     data[:len(data)/3],
+		"trailing":      append(append([]byte{}, data...), 1, 2, 3),
+		"pt as ct":      MarshalPlaintext(pt),
+		"wrong ring":    nil,
 	}
 	for name, d := range cases {
 		if name == "wrong ring" {

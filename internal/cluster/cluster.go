@@ -57,7 +57,7 @@ const (
 	OpRecv                     // receive tag Tag into Dst
 	OpNeg                      // Dst = -Src1
 	OpConjugate                // Dst = Conjugate(Src1)
-	OpRaise                    // Dst = RaiseModulus(Src1); Src1 must sit at level 0
+	OpRaise                    // Dst = RaiseModulus(Src1 dropped to level 0)
 )
 
 // Instr is one instruction of a card's stream.
@@ -259,6 +259,10 @@ func (cl *Cluster) execute(ctx context.Context, card *Card, prog []Instr, abort 
 			src, err := get(ins.Src1)
 			if err != nil {
 				return err
+			}
+			if lvl := src.Level(); lvl > 0 {
+				src = src.CopyNew()
+				src.DropLevel(lvl)
 			}
 			card.Store[ins.Dst] = card.Eval.RaiseModulus(src)
 		case OpCopy:

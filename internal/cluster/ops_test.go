@@ -2,14 +2,15 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math/cmplx"
 	"testing"
 
 	"hydra/internal/ckks"
 )
 
-// The conformance harness's cluster lowering leans on the OpNeg, OpConjugate
-// and OpRaise instructions (negation inside the double-angle iterations, the
+// The IR's cluster lowering (fhir.LowerCluster) leans on the OpNeg,
+// OpConjugate and OpRaise instructions (negation inside the double-angle iterations, the
 // conjugate branch and the ModRaise of the bootstrap pipeline); pin their
 // card semantics against the evaluator they wrap.
 func TestNegConjugateRaiseOps(t *testing.T) {
@@ -64,29 +65,41 @@ func TestNegConjugateRaiseOps(t *testing.T) {
 		}
 	})
 
+	// OpRaise drops its source to level 0 itself (IR lowerings turn the
+	// ModSwitch ahead of a ModRaise into a copy), so a level-2 input must
+	// give exactly DropLevel followed by RaiseModulus.
 	t.Run("raise", func(t *testing.T) {
-		pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := encr.Encrypt(pt)
-		cl := New(params, eval, 1)
-		cl.Load(0, "x", ct.CopyNew())
-		progs := [][]Instr{{{Op: OpRaise, Dst: "y", Src1: "x"}}}
-		if err := cl.Run(context.Background(), progs); err != nil {
-			t.Fatal(err)
-		}
-		out, err := cl.Get(0, "y")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Level() != params.MaxLevel() {
-			t.Fatalf("raise left level %d, want %d", out.Level(), params.MaxLevel())
-		}
-		// ModRaise decrypts to m + q0·I, so a slot-value comparison is
-		// meaningless here; the op's contract is exactly the evaluator's.
-		if want := eval.RaiseModulus(ct); !out.Equal(want) {
-			t.Fatal("cluster OpRaise differs from Evaluator.RaiseModulus")
+		for _, level := range []int{0, 2} {
+			t.Run(fmt.Sprintf("level=%d", level), func(t *testing.T) {
+				pt, err := enc.EncodeAtLevel(vals, params.DefaultScale(), level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ct := encr.Encrypt(pt)
+				cl := New(params, eval, 1)
+				cl.Load(0, "x", ct.CopyNew())
+				progs := [][]Instr{{{Op: OpRaise, Dst: "y", Src1: "x"}}}
+				if err := cl.Run(context.Background(), progs); err != nil {
+					t.Fatal(err)
+				}
+				out, err := cl.Get(0, "y")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Level() != params.MaxLevel() {
+					t.Fatalf("raise left level %d, want %d", out.Level(), params.MaxLevel())
+				}
+				// ModRaise decrypts to m + q0·I, so a slot-value comparison is
+				// meaningless here; the op's contract is exactly the evaluator's.
+				dropped := ct.CopyNew()
+				dropped.DropLevel(level)
+				if want := eval.RaiseModulus(dropped); !out.Equal(want) {
+					t.Fatal("cluster OpRaise differs from DropLevel + Evaluator.RaiseModulus")
+				}
+				if src, err := cl.Get(0, "x"); err != nil || src.Level() != level {
+					t.Fatalf("OpRaise modified its source register (err %v)", err)
+				}
+			})
 		}
 	})
 }

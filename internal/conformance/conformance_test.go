@@ -8,7 +8,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden_matrix.json from this run")
 
-// TestConformanceMatrix runs the whole corpus against all four engines,
+// TestConformanceMatrix runs the whole corpus against all five engines,
 // fails on any cell outside its program's budget, and compares the pass
 // matrix against the checked-in golden file. Under -short the Heavy programs
 // (bootstrap) are skipped — that reduced matrix is what the CI -race leg

@@ -3,754 +3,50 @@ package conformance
 import (
 	"context"
 	"fmt"
-	"math"
-	"sort"
 	"time"
 
 	"hydra/internal/ckks"
 	"hydra/internal/cluster"
-	"hydra/internal/hefloat"
+	"hydra/internal/fhir"
 	"hydra/internal/serve"
 )
 
-// clusterCards is the grant size every conformance program is lowered for.
-// Two cards force real switch traffic (every program with more than one op
-// crosses the card boundary at least once) while keeping the matrix fast.
+// clusterCards is the grant size every conformance program is lowered for,
+// by the cluster engine and by the ir engine's cluster check alike. Two
+// cards force real switch traffic (every program with more than one output
+// term crosses the card boundary) while keeping the matrix fast.
 const clusterCards = 2
 
-// lowerer translates a ProgramSpec into per-card instruction streams for the
-// functional cluster runtime. It tracks, statically, which cards hold each
-// register (emitting Send/Recv pairs on demand) and a per-register level
-// shadow so plaintext operands (diagonals, masks) are encoded at the level
-// the ciphertext will actually occupy at runtime. The shadow mirrors the
-// evaluator's level rules exactly; scales never need shadowing because every
-// OpAdd the lowerings emit joins operands with identical op histories.
-type lowerer struct {
-	env   *Env
-	s     *ProgramSpec
-	progs [][]cluster.Instr
-	level map[string]int
-	on    map[string]map[int]bool
-	tag   int
-	tmp   int
-}
-
-// lowerProgram returns the per-card instruction streams of spec. Inputs are
-// preloaded onto card 0 and the output register ends on card 0.
-func lowerProgram(env *Env, s *ProgramSpec) ([][]cluster.Instr, error) {
-	l := &lowerer{
-		env:   env,
-		s:     s,
-		progs: make([][]cluster.Instr, clusterCards),
-		level: map[string]int{},
-		on:    map[string]map[int]bool{},
-	}
-	inLevel := env.Params.MaxLevel()
-	if s.usesBootstrap() {
-		inLevel = 0
-	}
-	for _, in := range s.Inputs {
-		l.level[in.Name] = inLevel
-		l.on[in.Name] = map[int]bool{0: true}
-	}
-	for i, op := range s.Ops {
-		if err := l.lowerOp(i, op); err != nil {
-			return nil, fmt.Errorf("conformance: lowering %s op %d (%s): %w", s.Name, i, op.Op, err)
-		}
-	}
-	if err := l.ensureOn(s.Output, 0); err != nil {
-		return nil, err
-	}
-	return l.progs, nil
-}
-
-func (l *lowerer) emit(card int, ins cluster.Instr) {
-	l.progs[card] = append(l.progs[card], ins)
-}
-
-func (l *lowerer) newTmp(prefix string) string {
-	l.tmp++
-	return fmt.Sprintf("%s#%d", prefix, l.tmp)
-}
-
-// def records reg as produced on card at the given level.
-func (l *lowerer) def(reg string, card, level int) {
-	l.level[reg] = level
-	if l.on[reg] == nil {
-		l.on[reg] = map[int]bool{}
-	}
-	l.on[reg][card] = true
-}
-
-// ensureOn moves reg to card through the switch if it is not already there.
-func (l *lowerer) ensureOn(reg string, card int) error {
-	holders := l.on[reg]
-	if holders == nil {
-		return fmt.Errorf("register %q undefined", reg)
-	}
-	if holders[card] {
-		return nil
-	}
-	src := -1
-	for c := range holders {
-		if src == -1 || c < src {
-			src = c
-		}
-	}
-	l.tag++
-	l.emit(src, cluster.Instr{Op: cluster.OpSend, Src1: reg, Peer: card, Tag: l.tag})
-	l.emit(card, cluster.Instr{Op: cluster.OpRecv, Dst: reg, Tag: l.tag})
-	holders[card] = true
-	return nil
-}
-
-// qAt returns the top modulus at the given level, for level-shadow math only.
-func (l *lowerer) qAt(level int) float64 {
-	return float64(l.env.Params.Q()[level])
-}
-
-func (l *lowerer) lowerOp(idx int, op OpSpec) error {
-	// Alternate the home card per op so even element-wise chains exercise
-	// the switch.
-	card := idx % clusterCards
-	switch op.Op {
-	case "add", "sub", "mul":
-		if err := l.ensureOn(op.A, card); err != nil {
-			return err
-		}
-		if err := l.ensureOn(op.B, card); err != nil {
-			return err
-		}
-		lvl := minInt(l.level[op.A], l.level[op.B])
-		switch op.Op {
-		case "add":
-			l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: op.Dst, Src1: op.A, Src2: op.B})
-		case "sub":
-			l.emit(card, cluster.Instr{Op: cluster.OpSub, Dst: op.Dst, Src1: op.A, Src2: op.B})
-		case "mul":
-			t := l.newTmp("mul")
-			l.emit(card, cluster.Instr{Op: cluster.OpCMult, Dst: t, Src1: op.A, Src2: op.B})
-			l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: op.Dst, Src1: t})
-			lvl--
-		}
-		l.def(op.Dst, card, lvl)
-	case "neg", "conjugate", "rotate", "addconst", "mulconst", "mulplain":
-		if err := l.ensureOn(op.A, card); err != nil {
-			return err
-		}
-		lvl := l.level[op.A]
-		switch op.Op {
-		case "neg":
-			l.emit(card, cluster.Instr{Op: cluster.OpNeg, Dst: op.Dst, Src1: op.A})
-		case "conjugate":
-			l.emit(card, cluster.Instr{Op: cluster.OpConjugate, Dst: op.Dst, Src1: op.A})
-		case "rotate":
-			l.emit(card, cluster.Instr{Op: cluster.OpRotate, Dst: op.Dst, Src1: op.A, Imm: op.K})
-		case "addconst":
-			l.emit(card, cluster.Instr{Op: cluster.OpAddConst, Dst: op.Dst, Src1: op.A, Const: op.Const})
-		case "mulconst":
-			l.emit(card, cluster.Instr{Op: cluster.OpMulConst, Dst: op.Dst, Src1: op.A, Const: op.Const})
-			lvl--
-		case "mulplain":
-			vals, err := GenVector(op.Gen, l.s.Slots())
-			if err != nil {
-				return err
-			}
-			pt, err := l.env.Encoder.EncodeAtLevel(vals, l.env.Params.DefaultScale(), lvl)
-			if err != nil {
-				return err
-			}
-			t := l.newTmp("pm")
-			l.emit(card, cluster.Instr{Op: cluster.OpPMult, Dst: t, Src1: op.A, Plain: pt})
-			l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: op.Dst, Src1: t})
-			lvl--
-		}
-		l.def(op.Dst, card, lvl)
-	case "rotsum", "rotsumext":
-		return l.lowerRotSum(op)
-	case "lintrans":
-		m, err := GenMatrix(op.Matrix, l.s.Slots())
-		if err != nil {
-			return err
-		}
-		lt, err := hefloat.NewLinearTransform(m)
-		if err != nil {
-			return err
-		}
-		if op.BS > 0 {
-			return l.lowerBSGSSplit(op.Dst, op.A, lt, op.BS)
-		}
-		return l.lowerNaiveSplit(op.Dst, op.A, lt)
-	case "pcmm":
-		w, err := GenWeights(op.Matrix, isqrt(l.s.Slots()))
-		if err != nil {
-			return err
-		}
-		lt, err := hefloat.NewPCMMTransform(w, l.s.Slots())
-		if err != nil {
-			return err
-		}
-		return l.lowerNaiveSplit(op.Dst, op.A, lt)
-	case "ccmm":
-		return l.lowerCCMM(op.Dst, op.A, op.B)
-	case "poly":
-		return l.lowerPoly(op.Dst, op.A, op.Coeffs)
-	case "bootstrap":
-		return l.lowerBootstrap(op.Dst, op.A)
-	default:
-		return fmt.Errorf("unknown op %q", op.Op)
-	}
-	return nil
-}
-
-// lowerRotSum splits Σ_{i<K} rotate(A, i) across both cards: card 0 folds the
-// low half of the rotation range, card 1 the high half, and the partials meet
-// on card 0. All terms share A's scale, so the merge is a plain OpAdd.
-func (l *lowerer) lowerRotSum(op OpSpec) error {
-	if op.K < 1 {
-		return fmt.Errorf("rotsum width %d", op.K)
-	}
-	if err := l.ensureOn(op.A, 0); err != nil {
-		return err
-	}
-	half := (op.K + 1) / 2
-	acc0 := l.newTmp("rs0")
-	l.emit(0, cluster.Instr{Op: cluster.OpCopy, Dst: acc0, Src1: op.A})
-	for r := 1; r < half; r++ {
-		t := l.newTmp("rot")
-		l.emit(0, cluster.Instr{Op: cluster.OpRotate, Dst: t, Src1: op.A, Imm: r})
-		l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: acc0, Src1: acc0, Src2: t})
-	}
-	if half < op.K {
-		if err := l.ensureOn(op.A, 1); err != nil {
-			return err
-		}
-		acc1 := l.newTmp("rs1")
-		l.emit(1, cluster.Instr{Op: cluster.OpRotate, Dst: acc1, Src1: op.A, Imm: half})
-		for r := half + 1; r < op.K; r++ {
-			t := l.newTmp("rot")
-			l.emit(1, cluster.Instr{Op: cluster.OpRotate, Dst: t, Src1: op.A, Imm: r})
-			l.emit(1, cluster.Instr{Op: cluster.OpAdd, Dst: acc1, Src1: acc1, Src2: t})
-		}
-		l.def(acc1, 1, l.level[op.A])
-		if err := l.ensureOn(acc1, 0); err != nil {
-			return err
-		}
-		l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: op.Dst, Src1: acc0, Src2: acc1})
-	} else {
-		l.emit(0, cluster.Instr{Op: cluster.OpCopy, Dst: op.Dst, Src1: acc0})
-	}
-	l.def(op.Dst, 0, l.level[op.A])
-	return nil
-}
-
-// lowerNaiveSplit lowers a naive diagonal evaluation (one rotation + one
-// PMult per non-zero diagonal) with the diagonal set split across both cards.
-func (l *lowerer) lowerNaiveSplit(dst, src string, lt *hefloat.LinearTransform) error {
-	ds := make([]int, 0, len(lt.Diags))
-	for d := range lt.Diags {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
-	lvl := l.level[src]
-	scale := l.env.Params.DefaultScale()
-	mid := (len(ds) + 1) / 2
-	halves := [][]int{ds[:mid], ds[mid:]}
-	partials := make([]string, 0, 2)
-	for card, half := range halves {
-		if len(half) == 0 {
-			continue
-		}
-		if err := l.ensureOn(src, card); err != nil {
-			return err
-		}
-		var acc string
-		for _, d := range half {
-			rot := src
-			if d != 0 {
-				rot = l.newTmp("rot")
-				l.emit(card, cluster.Instr{Op: cluster.OpRotate, Dst: rot, Src1: src, Imm: d})
-			}
-			pt, err := l.env.Encoder.EncodeAtLevel(lt.Diags[d], scale, lvl)
-			if err != nil {
-				return err
-			}
-			term := l.newTmp("dg")
-			l.emit(card, cluster.Instr{Op: cluster.OpPMult, Dst: term, Src1: rot, Plain: pt})
-			if acc == "" {
-				acc = term
-			} else {
-				l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: acc, Src1: acc, Src2: term})
-			}
-		}
-		l.def(acc, card, lvl)
-		partials = append(partials, acc)
-	}
-	sum := partials[0]
-	if len(partials) == 2 {
-		if err := l.ensureOn(partials[1], 0); err != nil {
-			return err
-		}
-		sum = l.newTmp("mv")
-		l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: sum, Src1: partials[0], Src2: partials[1]})
-	}
-	l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: dst, Src1: sum})
-	l.def(dst, 0, lvl-1)
-	return nil
-}
-
-// lowerBSGSSplit lowers a BSGS evaluation with the giant-step groups split
-// across both cards: each card rotates its own baby steps of the broadcast
-// input, folds its groups' pre-shifted diagonals, applies the giant rotation,
-// and the per-card partial sums meet on card 0 for the final rescale —
-// the Fig. 3(d) distributed-matvec shape at functional scale.
-func (l *lowerer) lowerBSGSSplit(dst, src string, lt *hefloat.LinearTransform, bs int) error {
-	groups := map[int][]int{}
-	for d := range lt.Diags {
-		g := d - d%bs
-		groups[g] = append(groups[g], d)
-	}
-	gs := make([]int, 0, len(groups))
-	for g := range groups {
-		gs = append(gs, g)
-	}
-	sort.Ints(gs)
-	mid := (len(gs) + 1) / 2
-	halves := [][]int{gs[:mid], gs[mid:]}
-	partials := make([]string, 0, 2)
-	for card, half := range halves {
-		if len(half) == 0 {
-			continue
-		}
-		if err := l.ensureOn(src, card); err != nil {
-			return err
-		}
-		acc, err := l.bsgsGroupsOn(card, src, lt, bs, half)
-		if err != nil {
-			return err
-		}
-		partials = append(partials, acc)
-	}
-	sum := partials[0]
-	if len(partials) == 2 {
-		if err := l.ensureOn(partials[1], 0); err != nil {
-			return err
-		}
-		sum = l.newTmp("bsgs")
-		l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: sum, Src1: partials[0], Src2: partials[1]})
-	}
-	l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: dst, Src1: sum})
-	l.def(dst, 0, l.level[src]-1)
-	return nil
-}
-
-// lowerBSGSOn emits a whole BSGS evaluation (every group) on one card and
-// returns the register of the rescaled result.
-func (l *lowerer) lowerBSGSOn(card int, src string, lt *hefloat.LinearTransform, bs int) (string, error) {
-	groups := map[int][]int{}
-	for d := range lt.Diags {
-		g := d - d%bs
-		groups[g] = append(groups[g], d)
-	}
-	gs := make([]int, 0, len(groups))
-	for g := range groups {
-		gs = append(gs, g)
-	}
-	sort.Ints(gs)
-	acc, err := l.bsgsGroupsOn(card, src, lt, bs, gs)
-	if err != nil {
-		return "", err
-	}
-	out := l.newTmp("lt")
-	l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: out, Src1: acc})
-	l.def(out, card, l.level[src]-1)
-	return out, nil
-}
-
-// bsgsGroupsOn folds the given giant-step groups on one card, without the
-// final rescale (the caller merges partials first). Baby rotations are
-// emitted once per (card, index) and shared across the card's groups.
-func (l *lowerer) bsgsGroupsOn(card int, src string, lt *hefloat.LinearTransform, bs int, gs []int) (string, error) {
-	lvl := l.level[src]
-	scale := l.env.Params.DefaultScale()
-	babies := map[int]string{0: src}
-	var acc string
-	for _, g := range gs {
-		ds := make([]int, 0, 8)
-		for d := range lt.Diags {
-			if d-d%bs == g {
-				ds = append(ds, d)
-			}
-		}
-		sort.Ints(ds)
-		var inner string
-		for _, d := range ds {
-			j := d - g
-			baby, ok := babies[j]
-			if !ok {
-				baby = l.newTmp("baby")
-				l.emit(card, cluster.Instr{Op: cluster.OpRotate, Dst: baby, Src1: src, Imm: j})
-				babies[j] = baby
-			}
-			pt, err := l.env.Encoder.EncodeAtLevel(lt.ShiftedDiag(d, g), scale, lvl)
-			if err != nil {
-				return "", err
-			}
-			term := l.newTmp("dg")
-			l.emit(card, cluster.Instr{Op: cluster.OpPMult, Dst: term, Src1: baby, Plain: pt})
-			if inner == "" {
-				inner = term
-			} else {
-				l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: inner, Src1: inner, Src2: term})
-			}
-		}
-		if g != 0 {
-			l.emit(card, cluster.Instr{Op: cluster.OpRotate, Dst: inner, Src1: inner, Imm: g})
-		}
-		if acc == "" {
-			acc = inner
-		} else {
-			l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: acc, Src1: acc, Src2: inner})
-		}
-	}
-	if acc == "" {
-		return "", fmt.Errorf("transform has no non-zero diagonals")
-	}
-	l.def(acc, card, lvl)
-	return acc, nil
-}
-
-// lowerCCMM mirrors hefloat.CCMM: σ(X) evaluates on card 0 while τ(Z)
-// evaluates on card 1 (genuinely concurrent), then the k combine iterations
-// run on card 0 with the ψ_d masks encoded from the exported CCMMMasks.
-func (l *lowerer) lowerCCMM(dst, x, z string) error {
-	slots := l.s.Slots()
-	k := isqrt(slots)
-	if k*k != slots {
-		return fmt.Errorf("ccmm needs a square slot count, got %d", slots)
-	}
-	sigma, err := hefloat.NewLinearTransform(hefloat.CCMMSigma(k))
-	if err != nil {
-		return err
-	}
-	tau, err := hefloat.NewLinearTransform(hefloat.CCMMTau(k))
-	if err != nil {
-		return err
-	}
-	if err := l.ensureOn(x, 0); err != nil {
-		return err
-	}
-	if err := l.ensureOn(z, 1); err != nil {
-		return err
-	}
-	// All-baby BSGS (bs = slots): a single group, no giant rotation — the
-	// same grouping hefloat.CCMM compiles its pre-transform plans with.
-	a, err := l.lowerBSGSOn(0, x, sigma, slots)
-	if err != nil {
-		return err
-	}
-	b, err := l.lowerBSGSOn(1, z, tau, slots)
-	if err != nil {
-		return err
-	}
-	if err := l.ensureOn(b, 0); err != nil {
-		return err
-	}
-	bLvl := l.level[b]
-	scale := l.env.Params.DefaultScale()
-	var acc string
-	for d := 0; d < k; d++ {
-		ad := a
-		if d != 0 {
-			ad = l.newTmp("phi")
-			l.emit(0, cluster.Instr{Op: cluster.OpRotate, Dst: ad, Src1: a, Imm: d * k})
-		}
-		maskMain, maskWrap := hefloat.CCMMMasks(k, d)
-		ptMain, err := l.env.Encoder.EncodeAtLevel(maskMain, scale, bLvl)
-		if err != nil {
-			return err
-		}
-		bd := l.newTmp("psi")
-		if d == 0 {
-			t := l.newTmp("m")
-			l.emit(0, cluster.Instr{Op: cluster.OpPMult, Dst: t, Src1: b, Plain: ptMain})
-			l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: bd, Src1: t})
-		} else {
-			ptWrap, err := l.env.Encoder.EncodeAtLevel(maskWrap, scale, bLvl)
-			if err != nil {
-				return err
-			}
-			rotMain := l.newTmp("rm")
-			rotWrap := l.newTmp("rw")
-			l.emit(0, cluster.Instr{Op: cluster.OpRotate, Dst: rotMain, Src1: b, Imm: d})
-			l.emit(0, cluster.Instr{Op: cluster.OpRotate, Dst: rotWrap, Src1: b, Imm: d - k})
-			tm := l.newTmp("tm")
-			tw := l.newTmp("tw")
-			l.emit(0, cluster.Instr{Op: cluster.OpPMult, Dst: tm, Src1: rotMain, Plain: ptMain})
-			l.emit(0, cluster.Instr{Op: cluster.OpPMult, Dst: tw, Src1: rotWrap, Plain: ptWrap})
-			sum := l.newTmp("ms")
-			l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: sum, Src1: tm, Src2: tw})
-			l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: bd, Src1: sum})
-		}
-		term := l.newTmp("ccm")
-		l.emit(0, cluster.Instr{Op: cluster.OpCMult, Dst: term, Src1: ad, Src2: bd})
-		if acc == "" {
-			acc = term
-		} else {
-			l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: acc, Src1: acc, Src2: term})
-		}
-	}
-	l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: dst, Src1: acc})
-	l.def(dst, 0, minInt(l.level[a], bLvl-1)-1)
-	return nil
-}
-
-// lowerPoly splits p(x) = lo(x) + x^m·hi(x) at the largest power of two
-// below len(coeffs): card 0 evaluates lo and the x^m spine by repeated
-// squaring, card 1 evaluates hi concurrently, and the halves recombine on
-// card 0 through the scale-aligning add.
-func (l *lowerer) lowerPoly(dst, x string, coeffs []float64) error {
-	if len(coeffs) < 2 {
-		return fmt.Errorf("poly needs degree >= 1")
-	}
-	split := 1
-	for split*2 < len(coeffs) {
-		split *= 2
-	}
-	lo, hi := coeffs[:split], coeffs[split:]
-	if err := l.ensureOn(x, 0); err != nil {
-		return err
-	}
-	// x^split on card 0 by repeated squaring.
-	xm := x
-	for p := 1; p < split; p *= 2 {
-		sq := l.newTmp("sq")
-		rs := l.newTmp("xm")
-		l.emit(0, cluster.Instr{Op: cluster.OpCMult, Dst: sq, Src1: xm, Src2: xm})
-		l.emit(0, cluster.Instr{Op: cluster.OpRescale, Dst: rs, Src1: sq})
-		l.def(rs, 0, l.level[xm]-1)
-		xm = rs
-	}
-	lov, err := l.hornerOn(0, x, lo)
-	if err != nil {
-		return err
-	}
-	var term string
-	if len(hi) == 1 {
-		term = l.newTmp("hi")
-		l.emit(0, cluster.Instr{Op: cluster.OpMulConst, Dst: term, Src1: xm, Const: hi[0]})
-		l.def(term, 0, l.level[xm]-1)
-	} else {
-		if err := l.ensureOn(x, 1); err != nil {
-			return err
-		}
-		hiv, err := l.hornerOn(1, x, hi)
-		if err != nil {
-			return err
-		}
-		if err := l.ensureOn(xm, 1); err != nil {
-			return err
-		}
-		prod := l.newTmp("hm")
-		term = l.newTmp("hi")
-		l.emit(1, cluster.Instr{Op: cluster.OpCMult, Dst: prod, Src1: hiv, Src2: xm})
-		l.emit(1, cluster.Instr{Op: cluster.OpRescale, Dst: term, Src1: prod})
-		l.def(term, 1, minInt(l.level[hiv], l.level[xm])-1)
-		if err := l.ensureOn(term, 0); err != nil {
-			return err
-		}
-	}
-	l.emit(0, cluster.Instr{Op: cluster.OpAddAligned, Dst: dst, Src1: lov, Src2: term})
-	l.def(dst, 0, minInt(l.level[lov], l.level[term])-1)
-	return nil
-}
-
-// hornerOn emits a Horner evaluation of coeffs on one card, mirroring
-// hefloat.EvaluateHorner instruction for instruction.
-func (l *lowerer) hornerOn(card int, x string, coeffs []float64) (string, error) {
-	deg := len(coeffs) - 1
-	if deg < 1 {
-		return "", fmt.Errorf("horner needs degree >= 1")
-	}
-	if l.level[x] < deg+1 {
-		return "", fmt.Errorf("level %d insufficient for Horner degree %d", l.level[x], deg)
-	}
-	acc := l.newTmp("hn")
-	l.emit(card, cluster.Instr{Op: cluster.OpMulConst, Dst: acc, Src1: x, Const: coeffs[deg]})
-	l.emit(card, cluster.Instr{Op: cluster.OpAddConst, Dst: acc, Src1: acc, Const: coeffs[deg-1]})
-	lvl := l.level[x] - 1
-	for i := deg - 2; i >= 0; i-- {
-		prod := l.newTmp("hp")
-		l.emit(card, cluster.Instr{Op: cluster.OpCMult, Dst: prod, Src1: acc, Src2: x})
-		l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: acc, Src1: prod})
-		l.emit(card, cluster.Instr{Op: cluster.OpAddConst, Dst: acc, Src1: acc, Const: coeffs[i]})
-		lvl--
-	}
-	l.def(acc, card, lvl)
-	return acc, nil
-}
-
-// lowerBootstrap emits the full bootstrap pipeline across both cards,
-// reusing the bootstrapper's own transforms (constants folded in) so the
-// cluster computes the numerically identical pipeline:
-//
-//	card 0: ModRaise, P·z, R·z   card 1: conj, Q·z̄, S·z̄
-//	u0 = Pz+Qz̄ (card 0)          u1 = Rz+Sz̄ (card 1)
-//	sine(u0) on card 0            sine(u1) on card 1
-//	z0 = A·w0 (card 0)            z1 = B·w1 (card 1)
-//	out = z0 ⊕ z1 (card 0, scale-aligned add)
-//
-// The sine evaluation uses Horner for the small-angle Taylor pair (the
-// cluster ISA has no tree combinator), which costs more levels than the
-// hefloat tree path — the conformance environment's modulus chain is sized
-// for it.
-func (l *lowerer) lowerBootstrap(dst, x string) error {
-	bt, err := l.env.bootstrapper()
-	if err != nil {
-		return err
-	}
-	ltP, ltQ, ltR, ltS := bt.CoeffToSlotTransforms()
-	ltA, ltB := bt.SlotToCoeffTransforms()
-	bs := bt.BabySteps()
-	if err := l.ensureOn(x, 0); err != nil {
-		return err
-	}
-	if l.level[x] != 0 {
-		return fmt.Errorf("bootstrap input must sit at level 0, got %d", l.level[x])
-	}
-	z := l.newTmp("z")
-	l.emit(0, cluster.Instr{Op: cluster.OpRaise, Dst: z, Src1: x})
-	l.def(z, 0, l.env.Params.MaxLevel())
-	if err := l.ensureOn(z, 1); err != nil {
-		return err
-	}
-	zc := l.newTmp("zc")
-	l.emit(1, cluster.Instr{Op: cluster.OpConjugate, Dst: zc, Src1: z})
-	l.def(zc, 1, l.level[z])
-
-	pz, err := l.lowerBSGSOn(0, z, ltP, bs)
-	if err != nil {
-		return err
-	}
-	rz, err := l.lowerBSGSOn(0, z, ltR, bs)
-	if err != nil {
-		return err
-	}
-	qz, err := l.lowerBSGSOn(1, zc, ltQ, bs)
-	if err != nil {
-		return err
-	}
-	sz, err := l.lowerBSGSOn(1, zc, ltS, bs)
-	if err != nil {
-		return err
-	}
-	if err := l.ensureOn(qz, 0); err != nil {
-		return err
-	}
-	if err := l.ensureOn(rz, 1); err != nil {
-		return err
-	}
-	u0 := l.newTmp("u0")
-	l.emit(0, cluster.Instr{Op: cluster.OpAdd, Dst: u0, Src1: pz, Src2: qz})
-	l.def(u0, 0, minInt(l.level[pz], l.level[qz]))
-	u1 := l.newTmp("u1")
-	l.emit(1, cluster.Instr{Op: cluster.OpAdd, Dst: u1, Src1: rz, Src2: sz})
-	l.def(u1, 1, minInt(l.level[rz], l.level[sz]))
-
-	w0, err := l.lowerSine(0, u0, bt)
-	if err != nil {
-		return err
-	}
-	w1, err := l.lowerSine(1, u1, bt)
-	if err != nil {
-		return err
-	}
-	z0, err := l.lowerBSGSOn(0, w0, ltA, bs)
-	if err != nil {
-		return err
-	}
-	z1, err := l.lowerBSGSOn(1, w1, ltB, bs)
-	if err != nil {
-		return err
-	}
-	if err := l.ensureOn(z1, 0); err != nil {
-		return err
-	}
-	l.emit(0, cluster.Instr{Op: cluster.OpAddAligned, Dst: dst, Src1: z0, Src2: z1})
-	l.def(dst, 0, minInt(l.level[z0], l.level[z1])-1)
-	return nil
-}
-
-// lowerSine emits sin(2πu) on one card: pre-scale by θ = 2π/2^iters, the
-// small-angle sin/cos Taylor pair by Horner, then the double-angle
-// iterations — the same schedule hefloat's evalSine runs.
-func (l *lowerer) lowerSine(card int, u string, bt *hefloat.Bootstrapper) (string, error) {
-	deg, iters := bt.SineSchedule()
-	theta := 2 * math.Pi / math.Pow(2, float64(iters))
-	y := l.newTmp("y")
-	l.emit(card, cluster.Instr{Op: cluster.OpMulConst, Dst: y, Src1: u, Const: theta})
-	l.def(y, card, l.level[u]-1)
-
-	sinCoeffs := make([]float64, deg+1)
-	cosCoeffs := make([]float64, deg+2)
-	fact := 1.0
-	for i := 0; i <= deg+1; i++ {
-		if i > 0 {
-			fact *= float64(i)
-		}
-		term := 1 / fact
-		sign := 1.0
-		if i%4 >= 2 {
-			sign = -1
-		}
-		if i%2 == 1 {
-			if i <= deg {
-				sinCoeffs[i] = sign * term
-			}
-		} else if i <= deg+1 {
-			cosCoeffs[i] = sign * term
-		}
-	}
-	s, err := l.hornerOn(card, y, sinCoeffs)
-	if err != nil {
-		return "", err
-	}
-	c, err := l.hornerOn(card, y, cosCoeffs)
-	if err != nil {
-		return "", err
-	}
-	for i := 0; i < iters; i++ {
-		sc := l.newTmp("sc")
-		ss := l.newTmp("ss")
-		l.emit(card, cluster.Instr{Op: cluster.OpCMult, Dst: sc, Src1: s, Src2: c})
-		l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: sc, Src1: sc})
-		l.emit(card, cluster.Instr{Op: cluster.OpCMult, Dst: ss, Src1: s, Src2: s})
-		l.emit(card, cluster.Instr{Op: cluster.OpRescale, Dst: ss, Src1: ss})
-		scLvl := minInt(l.level[s], l.level[c]) - 1
-		ssLvl := l.level[s] - 1
-		s2 := l.newTmp("s")
-		l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: s2, Src1: sc, Src2: sc})
-		ss2 := l.newTmp("c")
-		l.emit(card, cluster.Instr{Op: cluster.OpAdd, Dst: ss2, Src1: ss, Src2: ss})
-		l.emit(card, cluster.Instr{Op: cluster.OpNeg, Dst: ss2, Src1: ss2})
-		l.emit(card, cluster.Instr{Op: cluster.OpAddConst, Dst: ss2, Src1: ss2, Const: 1})
-		l.def(s2, card, scLvl)
-		l.def(ss2, card, ssLvl)
-		s, c = s2, ss2
-	}
-	return s, nil
-}
-
-// runCluster executes the program on the functional multi-card runtime via
-// the serving layer: the lowered instruction streams are submitted as a
-// 2-card job against the environment's fleet server, whose ClusterBackend
-// builds a fresh goroutine-card cluster on the granted placement.
+// runCluster is the cluster engine: the program is rebuilt on the fhir IR,
+// CSE merges its shared rotations (the BSGS baby steps several transforms
+// read), CompileNaive places every rescale and relinearization eagerly, and
+// fhir.LowerCluster turns the result into per-card streams submitted as one
+// 2-card job. The placement is the unoptimized one, so this engine stays
+// distinct from the ir engine, which lowers the fully optimized program.
 func runCluster(env *Env, srv *serve.Server, s *ProgramSpec) (*ckks.Ciphertext, error) {
-	progs, err := lowerProgram(env, s)
+	prog, err := buildIRProgram(env, s)
+	if err != nil {
+		return nil, fmt.Errorf("ir frontend: %w", err)
+	}
+	naive, err := fhir.CompileNaive(fhir.CSE(prog), s.Params.Levels)
+	if err != nil {
+		return nil, fmt.Errorf("ir compile: %w", err)
+	}
+	return submitCluster(env, srv, naive, s)
+}
+
+// submitCluster lowers a legalized program onto clusterCards cards and runs
+// it on the functional multi-card runtime through the serving layer: the
+// streams are submitted as one job against the environment's fleet server,
+// whose ClusterBackend builds a fresh goroutine-card cluster on the granted
+// placement. Every input is preloaded on every card, as LowerCluster
+// requires; the result is register "out" on card 0.
+func submitCluster(env *Env, srv *serve.Server, p *fhir.Program, s *ProgramSpec) (*ckks.Ciphertext, error) {
+	progs, err := fhir.LowerCluster(p, env.Encoder, clusterCards)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := encryptInputs(env, s)
+	inputs, err := encryptInputs(env, s, p.InputLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -765,13 +61,15 @@ func runCluster(env *Env, srv *serve.Server, s *ProgramSpec) (*ckks.Ciphertext, 
 			return &serve.ClusterJob{
 				Programs: progs,
 				Preload: func(cl *cluster.Cluster) error {
-					for name, ct := range inputs {
-						cl.Load(0, name, ct)
+					for card := 0; card < cards; card++ {
+						for name, ct := range inputs {
+							cl.Load(card, name, ct)
+						}
 					}
 					return nil
 				},
 				Collect: func(cl *cluster.Cluster) error {
-					ct, err := cl.Get(0, s.Output)
+					ct, err := cl.Get(0, "out")
 					out = ct
 					return err
 				},
@@ -788,11 +86,4 @@ func runCluster(env *Env, srv *serve.Server, s *ProgramSpec) (*ckks.Ciphertext, 
 		return nil, err
 	}
 	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

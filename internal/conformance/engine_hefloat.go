@@ -18,7 +18,11 @@ import (
 // pinned bit-identical, so their outputs must match bitwise.
 func runHEFloat(env *Env, s *ProgramSpec, reference bool) (*ckks.Ciphertext, error) {
 	eval, enc := env.Eval, env.Encoder
-	regs, err := encryptInputs(env, s)
+	level := env.Params.MaxLevel()
+	if s.usesBootstrap() {
+		level = 0 // Bootstrapper.Bootstrap takes a level-0 ciphertext
+	}
+	regs, err := encryptInputs(env, s, level)
 	if err != nil {
 		return nil, err
 	}

@@ -1,25 +1,16 @@
 package conformance
 
 import (
-	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"hydra/internal/ckks"
-	"hydra/internal/cluster"
 	"hydra/internal/fhir"
 	"hydra/internal/hefloat"
 	"hydra/internal/hw"
-	"hydra/internal/isa"
-	"hydra/internal/sim"
+	"hydra/internal/serve"
 )
-
-// irClusterCards matches the functional-cluster engine's grant size so the
-// IR's cluster lowering crosses a real card boundary on multi-term programs.
-const irClusterCards = 2
 
 // runIR is the fifth engine: the program is rebuilt as an internal/fhir IR
 // program (its mathematical structure, no scales or schedules), compiled
@@ -29,16 +20,16 @@ const irClusterCards = 2
 //
 //   - the ckks evaluator lowering produces the ciphertext this engine is
 //     scored on (hoisted baskets, extended-basis MACs, deferred relins);
-//   - the task lowering must validate, survive the ISA encode→decode→
-//     re-encode round trip byte-stably, and schedule on the Hydra fleet
-//     model with a finite makespan;
+//   - the task lowering must pass the sim engine's schedule-legality
+//     battery (checkSchedule);
 //   - the cluster lowering executes on the functional multi-card runtime
-//     and its decrypted output must independently meet the program budget.
+//     through the serving layer and its decrypted output must independently
+//     meet the program budget.
 //
 // A budget pass here certifies that the compiler's optimizations preserved
 // the program's semantics end to end, on every backend at once.
-func runIR(env *Env, s *ProgramSpec) (*ckks.Ciphertext, error) {
-	prog, err := buildIRProgram(s)
+func runIR(env *Env, srv *serve.Server, s *ProgramSpec) (*ckks.Ciphertext, error) {
+	prog, err := buildIRProgram(env, s)
 	if err != nil {
 		return nil, fmt.Errorf("ir frontend: %w", err)
 	}
@@ -47,7 +38,7 @@ func runIR(env *Env, s *ProgramSpec) (*ckks.Ciphertext, error) {
 		return nil, fmt.Errorf("ir compile: %w", err)
 	}
 
-	inputs, err := encryptInputs(env, s)
+	inputs, err := encryptInputs(env, s, opt.InputLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -56,84 +47,27 @@ func runIR(env *Env, s *ProgramSpec) (*ckks.Ciphertext, error) {
 		return nil, fmt.Errorf("ir evaluate: %w", err)
 	}
 
-	if err := checkIRTask(opt, s); err != nil {
+	tp, err := fhir.BuildTaskProgram(opt, hw.PaperScheme(), simCards, 2, s.Name)
+	if err != nil {
 		return nil, fmt.Errorf("ir task lowering: %w", err)
 	}
-	if err := checkIRCluster(env, opt, s); err != nil {
+	if _, err := checkSchedule(tp, len(s.Ops) > 0); err != nil {
+		return nil, fmt.Errorf("ir task lowering: %w", err)
+	}
+
+	clOut, err := submitCluster(env, srv, opt, s)
+	if err != nil {
 		return nil, fmt.Errorf("ir cluster lowering: %w", err)
-	}
-	return out, nil
-}
-
-// checkIRTask lowers the optimized program onto the accelerator model and
-// applies the sim engine's legality battery: validate, byte-stable ISA round
-// trip, finite-makespan schedule.
-func checkIRTask(p *fhir.Program, s *ProgramSpec) error {
-	tp, err := fhir.BuildTaskProgram(p, hw.PaperScheme(), simCards, 2, s.Name)
-	if err != nil {
-		return err
-	}
-	bin, err := isa.Marshal(tp)
-	if err != nil {
-		return fmt.Errorf("isa marshal: %w", err)
-	}
-	decoded, err := isa.Unmarshal(bin)
-	if err != nil {
-		return fmt.Errorf("isa unmarshal: %w", err)
-	}
-	bin2, err := isa.Marshal(decoded)
-	if err != nil {
-		return fmt.Errorf("isa re-marshal: %w", err)
-	}
-	if !bytes.Equal(bin, bin2) {
-		return fmt.Errorf("isa round trip not byte-stable (%d vs %d bytes)", len(bin), len(bin2))
-	}
-	res, err := sim.Run(decoded, sim.HydraConfig())
-	if err != nil {
-		return fmt.Errorf("sim run: %w", err)
-	}
-	if math.IsNaN(res.Makespan) || math.IsInf(res.Makespan, 0) || res.Makespan < 0 {
-		return fmt.Errorf("sim makespan %v not finite", res.Makespan)
-	}
-	return nil
-}
-
-// checkIRCluster executes the optimized program's cluster lowering on the
-// functional runtime and scores the decrypted result against the interpreter
-// under the program's own budget.
-func checkIRCluster(env *Env, p *fhir.Program, s *ProgramSpec) error {
-	progs, err := fhir.LowerCluster(p, env.Encoder, irClusterCards)
-	if err != nil {
-		return err
-	}
-	inputs, err := encryptInputs(env, s)
-	if err != nil {
-		return err
-	}
-	cl := cluster.New(env.Params, env.Eval, irClusterCards)
-	for card := 0; card < irClusterCards; card++ {
-		for name, ct := range inputs {
-			cl.Load(card, name, ct)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
-	defer cancel()
-	if err := cl.Run(ctx, progs); err != nil {
-		return err
-	}
-	out, err := cl.Get(0, "out")
-	if err != nil {
-		return err
 	}
 	expected, err := Interpret(s)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	got := env.Encoder.Decode(env.Dec.Decrypt(out))
+	got := env.Encoder.Decode(env.Dec.Decrypt(clOut))
 	if maxErr := MaxSlotError(got, expected); maxErr > s.Budget {
-		return fmt.Errorf("cluster output max slot error %.3g exceeds budget %.3g", maxErr, s.Budget)
+		return nil, fmt.Errorf("ir cluster lowering: output max slot error %.3g exceeds budget %.3g", maxErr, s.Budget)
 	}
-	return nil
+	return out, nil
 }
 
 // buildIRProgram translates a conformance spec into an fhir program. The
@@ -141,7 +75,7 @@ func checkIRCluster(env *Env, p *fhir.Program, s *ProgramSpec) error {
 // products, Horner chains — and leaves every optimization (rotation merging,
 // rescale placement, relin deferral) to the pass pipeline, so the matrix
 // exercises the compiler rather than a hand-optimized frontend.
-func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
+func buildIRProgram(env *Env, s *ProgramSpec) (*fhir.Program, error) {
 	slots := s.Slots()
 	b := fhir.NewBuilder(slots)
 	regs := map[string]*fhir.Value{}
@@ -228,13 +162,12 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 			if len(op.Coeffs) < 2 {
 				return nil, fmt.Errorf("op %d: poly needs degree >= 1", i)
 			}
-			deg := len(op.Coeffs) - 1
-			out = b.AddConst(b.MulConst(a, op.Coeffs[deg]), op.Coeffs[deg-1])
-			for t := deg - 2; t >= 0; t-- {
-				out = b.AddConst(b.Mul(out, a), op.Coeffs[t])
-			}
+			out = irHorner(b, a, op.Coeffs)
 		case "bootstrap":
-			return nil, fmt.Errorf("op %d: bootstrap has no IR lowering", i)
+			out, err = irBootstrap(b, env, a)
+			if err != nil {
+				return nil, fmt.Errorf("op %d (bootstrap): %w", i, err)
+			}
 		default:
 			return nil, fmt.Errorf("op %d: unknown op %q", i, op.Op)
 		}
@@ -246,6 +179,53 @@ func buildIRProgram(s *ProgramSpec) (*fhir.Program, error) {
 	}
 	b.Output(outVal)
 	return b.Build()
+}
+
+// irHorner writes p(x) by Horner's rule, mirroring hefloat.EvaluateHorner
+// product for product. coeffs needs degree >= 1.
+func irHorner(b *fhir.Builder, x *fhir.Value, coeffs []float64) *fhir.Value {
+	deg := len(coeffs) - 1
+	acc := b.AddConst(b.MulConst(x, coeffs[deg]), coeffs[deg-1])
+	for t := deg - 2; t >= 0; t-- {
+		acc = b.AddConst(b.Mul(acc, x), coeffs[t])
+	}
+	return acc
+}
+
+// irBootstrap writes bootstrapping as plain IR from the environment
+// bootstrapper's own transforms (constants folded in), so every executor
+// computes hefloat's pipeline: ModRaise, the four CoeffToSlot BSGS
+// transforms over z and conj(z), per branch the θ pre-scale, the small-angle
+// sin/cos Taylor pair and the double-angle steps, then the two SlotToCoeff
+// transforms and their sum. The Taylor pair runs by Horner rather than
+// hefloat's power tree, which costs more levels; the corpus's modulus chain
+// is sized for it.
+func irBootstrap(b *fhir.Builder, env *Env, x *fhir.Value) (*fhir.Value, error) {
+	bt, err := env.bootstrapper()
+	if err != nil {
+		return nil, err
+	}
+	ltP, ltQ, ltR, ltS := bt.CoeffToSlotTransforms()
+	ltA, ltB := bt.SlotToCoeffTransforms()
+	bs := bt.BabySteps()
+	deg, iters := bt.SineSchedule()
+	sinCoeffs, cosCoeffs := hefloat.SineTaylor(deg)
+	theta := 2 * math.Pi / math.Pow(2, float64(iters))
+	sine := func(u *fhir.Value) *fhir.Value {
+		y := b.MulConst(u, theta)
+		s, c := irHorner(b, y, sinCoeffs), irHorner(b, y, cosCoeffs)
+		for i := 0; i < iters; i++ {
+			sc, ss := b.Mul(s, c), b.Mul(s, s)
+			s = b.Add(sc, sc)                       // sin 2y = 2 sin y cos y
+			c = b.AddConst(b.Neg(b.Add(ss, ss)), 1) // cos 2y = 1 - 2 sin² y
+		}
+		return s
+	}
+	z := b.ModRaise(x)
+	zc := b.Conjugate(z)
+	u0 := b.Add(irLinTrans(b, z, ltP, bs, "boot:P"), irLinTrans(b, zc, ltQ, bs, "boot:Q"))
+	u1 := b.Add(irLinTrans(b, z, ltR, bs, "boot:R"), irLinTrans(b, zc, ltS, bs, "boot:S"))
+	return b.Add(irLinTrans(b, sine(u0), ltA, bs, "boot:A"), irLinTrans(b, sine(u1), ltB, bs, "boot:B")), nil
 }
 
 // irLinTrans writes a diagonal-decomposed linear transform. With bs <= 0 it

@@ -30,11 +30,11 @@ type simReport struct {
 
 // runSim lowers the program onto the paper-scale accelerator model: each
 // conformance op maps to the corresponding mapping-layer procedure (the same
-// recipes the figures use), the resulting task program must validate, survive
-// an ISA encode→decode→re-encode round trip byte-stably, and schedule on the
-// Hydra fleet config with a finite makespan. The numeric check of the other
-// engines becomes a schedule-legality and decode check here: the modeled
-// machine executes op *counts*, not residues.
+// recipes the figures use, and the matrix's only coverage of
+// mapping.MatVec/FC/PolyEval/Bootstrap), and the resulting task program must
+// pass checkSchedule. The numeric check of the other engines becomes a
+// schedule-legality and decode check here: the modeled machine executes op
+// *counts*, not residues.
 func runSim(s *ProgramSpec) (*simReport, error) {
 	scheme := hw.PaperScheme()
 	b := task.NewBuilder(simCards, 2)
@@ -85,13 +85,21 @@ func runSim(s *ProgramSpec) (*simReport, error) {
 			return nil, fmt.Errorf("sim lowering op %d (%s): %w", i, op.Op, err)
 		}
 	}
-	prog := b.Build()
+	return checkSchedule(b.Build(), len(s.Ops) > 0)
+}
+
+// checkSchedule is the schedule-legality battery every task lowering (the
+// sim engine's mapping procedures, the ir engine's fhir.LowerTask) must
+// pass: the program validates, survives an ISA encode→decode→re-encode
+// round trip byte-stably, validates again once decoded, and schedules on
+// the Hydra fleet config with a finite makespan, nonzero when the source
+// program has any op.
+func checkSchedule(prog *task.Program, nonEmpty bool) (*simReport, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("task program invalid: %w", err)
 	}
-
-	// ISA round trip: encode, decode, re-encode; the two encodings must be
-	// byte-identical or the decoder lost information.
+	// The two encodings must be byte-identical or the decoder lost
+	// information.
 	bin, err := isa.Marshal(prog)
 	if err != nil {
 		return nil, fmt.Errorf("isa marshal: %w", err)
@@ -110,8 +118,6 @@ func runSim(s *ProgramSpec) (*simReport, error) {
 	if !bytes.Equal(bin, bin2) {
 		return nil, fmt.Errorf("isa round trip not byte-stable (%d vs %d bytes)", len(bin), len(bin2))
 	}
-
-	// The decoded program must schedule on the Hydra fleet model.
 	res, err := sim.Run(decoded, sim.HydraConfig())
 	if err != nil {
 		return nil, fmt.Errorf("sim run: %w", err)
@@ -119,7 +125,7 @@ func runSim(s *ProgramSpec) (*simReport, error) {
 	if math.IsNaN(res.Makespan) || math.IsInf(res.Makespan, 0) || res.Makespan < 0 {
 		return nil, fmt.Errorf("sim makespan %v not finite", res.Makespan)
 	}
-	if len(s.Ops) > 0 && res.Makespan <= 0 {
+	if nonEmpty && res.Makespan <= 0 {
 		return nil, fmt.Errorf("non-empty program scheduled with zero makespan")
 	}
 	tasks := 0

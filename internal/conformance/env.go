@@ -172,16 +172,13 @@ func (e *Env) bootstrapper() (*hefloat.Bootstrapper, error) {
 	return bt, nil
 }
 
-// encryptInputs encrypts the program's inputs with a fresh deterministic
-// encryptor (seed 2). A fresh sampler per program run makes the ciphertexts
-// bit-identical across engines and across the main/reference environment
-// pair, which is what lets the harness compare outputs bitwise.
-func encryptInputs(e *Env, s *ProgramSpec) (map[string]*ckks.Ciphertext, error) {
+// encryptInputs encrypts the program's inputs at the given level with a
+// fresh deterministic encryptor (seed 2). A fresh sampler per program run
+// makes the ciphertexts bit-identical across engines and across the
+// main/reference environment pair, which is what lets the harness compare
+// outputs bitwise.
+func encryptInputs(e *Env, s *ProgramSpec, level int) (map[string]*ckks.Ciphertext, error) {
 	encr := ckks.NewEncryptor(e.Params, e.PK, 2)
-	level := e.Params.MaxLevel()
-	if s.usesBootstrap() {
-		level = 0
-	}
 	out := make(map[string]*ckks.Ciphertext, len(s.Inputs))
 	for _, in := range s.Inputs {
 		vals, err := GenVector(in.Gen, s.Slots())

@@ -127,7 +127,7 @@ type RunOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Run executes the whole corpus against all four engines and returns the
+// Run executes the whole corpus against all five engines and returns the
 // matrix. Engine failures (including panics from the evaluator layer) land in
 // the matrix as "fail" cells rather than aborting the run; only harness-level
 // problems (unloadable corpus, unbuildable environments) return an error.
@@ -203,7 +203,11 @@ func (h *Harness) Run(opts RunOptions) (Matrix, error) {
 		if reason, ok := s.Skip["ir"]; ok {
 			row["ir"] = Outcome{Status: "skip", Detail: reason}
 		} else {
-			irCt, irErr := runGuarded(func() (*ckks.Ciphertext, error) { return runIR(env, s) })
+			srv, err := h.serverFor(env)
+			if err != nil {
+				return nil, err
+			}
+			irCt, irErr := runGuarded(func() (*ckks.Ciphertext, error) { return runIR(env, srv, s) })
 			row["ir"] = checkCiphertext(env, irCt, irErr, expected, s)
 		}
 		for _, e := range EngineNames {

@@ -1,7 +1,7 @@
 // Package conformance is the cross-engine FHE conformance harness: one
 // directory-driven corpus of small CKKS programs (testdata/programs/*.json),
 // each with deterministic plaintext inputs, an interpreter-computed expected
-// output, and a per-program precision budget, executed against four engines:
+// output, and a per-program precision budget, executed against five engines:
 //
 //  1. reference  — hefloat reference paths (EvaluateBSGSReference, radix-2
 //     five-pass NTT via ring.SetReferenceNTT, Horner polynomial evaluation,
@@ -9,9 +9,10 @@
 //  2. optimized  — the plan-cached, double-hoisted production paths
 //     (EvaluateBSGS, merged-twist lazy radix-4 NTT, power-tree polynomials,
 //     hoisted and ext-hoisted rotations);
-//  3. cluster    — the same program lowered to per-card instruction streams
-//     of the functional multi-card runtime, scheduled and executed through
-//     internal/serve's ClusterBackend;
+//  3. cluster    — the program rebuilt on the internal/fhir IR, CSE'd and
+//     eagerly legalized (fhir.CompileNaive), lowered by fhir.LowerCluster
+//     to per-card instruction streams of the functional multi-card runtime,
+//     and executed as a 2-card job through internal/serve's ClusterBackend;
 //  4. sim        — the analytic pipeline: each program is mapped to a task
 //     graph (internal/mapping), round-tripped through the ISA encoding
 //     (internal/isa), and legality-checked on the simulator (internal/sim);
@@ -22,6 +23,9 @@
 //     through the ckks-evaluator lowering for the numeric verdict, and the
 //     same optimized form must also lower legally onto the task/ISA/sim
 //     pipeline and reproduce the result on the functional cluster runtime.
+//
+// Engines 3 and 5 share one frontend (buildIRProgram), bootstrap included:
+// fhir's ModRaise op lets the IR state the whole pipeline.
 //
 // Engines 1 and 2 are additionally pinned bit-identical on the programs whose
 // spec sets bitExact (the paths PR 4/5 proved bit-identity for); everywhere
@@ -47,9 +51,9 @@ var EngineNames = []string{"reference", "optimized", "cluster", "sim", "ir"}
 // ProgramSpec is one conformance program: inputs, an op chain, the register
 // holding the result, and how strictly engines must agree on it.
 type ProgramSpec struct {
-	Name        string    `json:"name"`
-	Description string    `json:"description,omitempty"`
-	Params      ParamSpec `json:"params"`
+	Name        string      `json:"name"`
+	Description string      `json:"description,omitempty"`
+	Params      ParamSpec   `json:"params"`
 	Inputs      []InputSpec `json:"inputs"`
 	Ops         []OpSpec    `json:"ops"`
 	Output      string      `json:"output"`
@@ -182,8 +186,8 @@ func (s *ProgramSpec) validate() error {
 // defaults to logN-1 across the repo).
 func (s *ProgramSpec) Slots() int { return 1 << (s.Params.LogN - 1) }
 
-// usesBootstrap reports whether any op is a bootstrap (inputs are then
-// encrypted at level 0).
+// usesBootstrap reports whether any op is a bootstrap (the hefloat engines
+// then encrypt inputs at level 0).
 func (s *ProgramSpec) usesBootstrap() bool {
 	for _, op := range s.Ops {
 		if op.Op == "bootstrap" {

@@ -122,6 +122,15 @@ func (b *Builder) Conjugate(a *Value) *Value {
 	return b.emit(&Value{Op: OpConjugate, Args: []*Value{a}})
 }
 
+// ModRaise re-expresses a at the top of the modulus chain, the first step of
+// bootstrapping. The result decrypts to m + q0·I for a small integer
+// polynomial I, so it is the identity only on the slots the following
+// CoeffToSlot / sine / SlotToCoeff pipeline cleans up. Legalize drops a to
+// level 0 first.
+func (b *Builder) ModRaise(a *Value) *Value {
+	return b.emit(&Value{Op: OpModRaise, Args: []*Value{a}})
+}
+
 // Sum folds the given values with Add, left to right.
 func (b *Builder) Sum(vs ...*Value) *Value {
 	if len(vs) == 0 {

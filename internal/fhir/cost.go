@@ -30,6 +30,7 @@ type Cost struct {
 //	MulPlain,
 //	MulConst    1 plaintext mult
 //	Rescale     1 rescale
+//	ModRaise    nothing (a coefficient-wise basis extension, no keyswitch)
 func Measure(p *Program) Cost {
 	var c Cost
 	c.Values = len(p.Values)

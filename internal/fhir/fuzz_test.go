@@ -105,10 +105,10 @@ func genProgram(data []byte, slots int) *Program {
 func FuzzIRPasses(f *testing.F) {
 	// Seed corpus: shapes that exercise each pass.
 	f.Add([]byte{0, 0, 1})                                              // one add
-	f.Add([]byte{7, 0, 0, 7, 0, 1, 7, 0, 2, 0, 2, 3, 0, 5, 4})         // rotation fold (Hoist RotSum)
-	f.Add([]byte{5, 0, 7, 5, 1, 9, 0, 2, 3})                           // plaintext MACs (CSE + DiagMac)
-	f.Add([]byte{6, 0, 1, 6, 1, 0, 0, 2, 3})                           // sum of products (LazyRelin)
-	f.Add([]byte{4, 0, 5, 3, 2, 1, 8, 1, 0, 1, 3, 2})                  // consts + conjugate
+	f.Add([]byte{7, 0, 0, 7, 0, 1, 7, 0, 2, 0, 2, 3, 0, 5, 4})          // rotation fold (Hoist RotSum)
+	f.Add([]byte{5, 0, 7, 5, 1, 9, 0, 2, 3})                            // plaintext MACs (CSE + DiagMac)
+	f.Add([]byte{6, 0, 1, 6, 1, 0, 0, 2, 3})                            // sum of products (LazyRelin)
+	f.Add([]byte{4, 0, 5, 3, 2, 1, 8, 1, 0, 1, 3, 2})                   // consts + conjugate
 	f.Add([]byte{7, 0, 1, 5, 2, 4, 7, 0, 2, 5, 3, 8, 0, 4, 5, 9, 1, 2}) // shared-use guard
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := genProgram(data, 1<<(fuzzLogN-1))

@@ -8,8 +8,10 @@ import (
 // Interpret executes a program exactly on plaintext slot vectors — the
 // numeric oracle the differential tests and the fuzzer compare every lowering
 // against. It works on legalized and unlegalized programs alike: Rescale,
-// ModSwitch, and Relin are identities over exact arithmetic, and the fused
-// forms compute the sums their extended-basis lowerings approximate.
+// ModSwitch, and Relin are identities over exact arithmetic, ModRaise is
+// taken as the identity (its q0·I overflow has no slot-level meaning), and
+// the fused forms compute the sums their extended-basis lowerings
+// approximate.
 func Interpret(p *Program, inputs map[string][]complex128) ([]complex128, error) {
 	rot := func(x []complex128, k int) []complex128 {
 		n := len(x)
@@ -76,7 +78,7 @@ func Interpret(p *Program, inputs map[string][]complex128) ([]complex128, error)
 			vals[v] = out
 		case OpRelin, OpRescale, OpRotBasket:
 			vals[v] = arg(0)
-		case OpModSwitch:
+		case OpModSwitch, OpModRaise:
 			vals[v] = arg(0)
 		case OpRotate:
 			vals[v] = rot(arg(0), v.K)

@@ -35,7 +35,7 @@ import (
 )
 
 // Op enumerates IR operations. The first group is what the Builder emits;
-// Rescale/ModSwitch are inserted by Legalize; the fused extended-basis forms
+// Rescale/ModSwitch are inserted by Legalize (also ahead of every ModRaise); the fused extended-basis forms
 // (RotBasket, DiagMac, RotSum) are introduced by the Hoist pass.
 type Op int
 
@@ -54,6 +54,7 @@ const (
 	OpModSwitch           // drop K levels without rounding (level alignment)
 	OpRotate              // rotate slots left by K
 	OpConjugate           // conjugate every slot
+	OpModRaise            // re-express a level-0 value at the top level (bootstrap's first step)
 	OpRotBasket           // hoisted: Args[0] rotated by every r in Rots, one shared decomposition, results left in the extended basis
 	OpDiagMac             // Args[0] must be a RotBasket: ModDown(Σ_j basket[Rots[j]] ⊙ Plains[j]), one deferred ModDown for the whole fold
 	OpRotSum              // Σ_{r ∈ Rots} rotate(Args[0], r) through one extended-basis accumulator and one ModDown
@@ -61,8 +62,8 @@ const (
 
 var opNames = [...]string{
 	"input", "add", "sub", "neg", "addconst", "mulconst", "mulplain", "mul",
-	"relin", "rescale", "modswitch", "rotate", "conjugate", "rotbasket",
-	"diagmac", "rotsum",
+	"relin", "rescale", "modswitch", "rotate", "conjugate", "modraise",
+	"rotbasket", "diagmac", "rotsum",
 }
 
 func (o Op) String() string {
@@ -217,7 +218,7 @@ func (p *Program) Validate() error {
 			}
 		case OpAdd, OpSub, OpMul:
 			err = arity(v, 2)
-		case OpNeg, OpAddConst, OpMulConst, OpMulPlain, OpRelin, OpRescale, OpModSwitch, OpRotate, OpConjugate:
+		case OpNeg, OpAddConst, OpMulConst, OpMulPlain, OpRelin, OpRescale, OpModSwitch, OpRotate, OpConjugate, OpModRaise:
 			err = arity(v, 1)
 			if err == nil && v.Op == OpMulPlain && v.Plain == nil {
 				err = fmt.Errorf("fhir: v%d mulplain has no plaintext", v.ID)

@@ -18,13 +18,16 @@ import (
 //   - RotBasket/DiagMac/RotSum expand back into rotate/pmult/add chains,
 //     with rotations de-duplicated per card;
 //   - ModSwitch becomes a copy: every cluster op aligns operand levels
-//     itself, and plaintext operands are encoded at the IR's fact level, so
-//     the modulus chain re-converges at each multiplication.
+//     itself (OpRaise drops its source to level 0), and plaintext operands
+//     are encoded at the IR's fact level, so the modulus chain re-converges
+//     at each multiplication.
 //
 // The partition mirrors LowerTask: output terms round-robin over cards, each
 // card computing the closure of its share, partials sent to card 0 and
-// folded there. The result lands in register "out" on card 0. The caller
-// preloads every input ciphertext, under its input name, on every card.
+// folded there. A plaintext two cards need is encoded once and shared (the
+// cards only read it). The result lands in register "out" on card 0. The
+// caller preloads every input ciphertext, under its input name, on every
+// card.
 func LowerCluster(p *Program, enc *ckks.Encoder, cards int) ([][]cluster.Instr, error) {
 	if !p.Legal {
 		return nil, fmt.Errorf("fhir: LowerCluster needs a legalized program")
@@ -34,13 +37,14 @@ func LowerCluster(p *Program, enc *ckks.Encoder, cards int) ([][]cluster.Instr, 
 	}
 	terms, wrappers := outputTerms(p)
 	progs := make([][]cluster.Instr, cards)
+	plains := map[plainKey]*ckks.Plaintext{}
 	used := 0
 	for ci := 0; ci < cards && ci < len(terms); ci++ {
 		var mine []*Value
 		for ti := ci; ti < len(terms); ti += cards {
 			mine = append(mine, terms[ti])
 		}
-		cc := &clusterCard{p: p, enc: enc, reg: map[*Value]string{}, rotCache: map[string]string{}}
+		cc := &clusterCard{p: p, enc: enc, plains: plains, reg: map[*Value]string{}, rotCache: map[string]string{}}
 		for _, v := range closure(p, mine) {
 			if err := cc.lower(v); err != nil {
 				return nil, fmt.Errorf("fhir: cluster card %d, v%d (%s): %w", ci, v.ID, v.Op, err)
@@ -90,9 +94,18 @@ func clusterOut(progs [][]cluster.Instr, used int) string {
 	return acc
 }
 
+// plainKey identifies one encoded plaintext operand: an IR plaintext, or
+// (Plain nil) a MulConst constant, at an encoding level.
+type plainKey struct {
+	plain *Plain
+	c     float64
+	level int
+}
+
 type clusterCard struct {
 	p        *Program
 	enc      *ckks.Encoder
+	plains   map[plainKey]*ckks.Plaintext // shared by every card of one lowering
 	ins      []cluster.Instr
 	reg      map[*Value]string
 	rotCache map[string]string // "srcReg@k" -> register holding the rotation
@@ -124,12 +137,29 @@ func (c *clusterCard) rotate(srcReg string, k int) string {
 	return dst
 }
 
-func (c *clusterCard) encode(pl *Plain, level int) (*ckks.Plaintext, error) {
-	vals, err := pl.Values(c.p.Slots)
+// encode returns the plaintext for key, encoding it on first use.
+func (c *clusterCard) encode(key plainKey) (*ckks.Plaintext, error) {
+	if pt, ok := c.plains[key]; ok {
+		return pt, nil
+	}
+	var vals []complex128
+	if key.plain != nil {
+		var err error
+		if vals, err = key.plain.Values(c.p.Slots); err != nil {
+			return nil, err
+		}
+	} else {
+		vals = make([]complex128, c.p.Slots)
+		for i := range vals {
+			vals[i] = complex(key.c, 0)
+		}
+	}
+	pt, err := c.enc.EncodeAtLevel(vals, c.enc.Params().DefaultScale(), key.level)
 	if err != nil {
 		return nil, err
 	}
-	return c.enc.EncodeAtLevel(vals, c.enc.Params().DefaultScale(), level)
+	c.plains[key] = pt
+	return pt, nil
 }
 
 func (c *clusterCard) lower(v *Value) error {
@@ -155,20 +185,13 @@ func (c *clusterCard) lower(v *Value) error {
 		// No unrescaled mul-by-const instruction: encode the constant as a
 		// plaintext vector at the operand's fact level. The IR's own Rescale
 		// follows separately, exactly as for MulPlain.
-		pl := &Plain{Values: func(slots int) ([]complex128, error) {
-			out := make([]complex128, slots)
-			for i := range out {
-				out[i] = complex(v.Const, 0)
-			}
-			return out, nil
-		}}
-		pt, err := c.encode(pl, v.Args[0].Level)
+		pt, err := c.encode(plainKey{c: v.Const, level: v.Args[0].Level})
 		if err != nil {
 			return err
 		}
 		emit(cluster.Instr{Op: cluster.OpPMult, Src1: arg(0), Plain: pt})
 	case OpMulPlain:
-		pt, err := c.encode(v.Plain, v.Args[0].Level)
+		pt, err := c.encode(plainKey{plain: v.Plain, level: v.Args[0].Level})
 		if err != nil {
 			return err
 		}
@@ -183,11 +206,13 @@ func (c *clusterCard) lower(v *Value) error {
 		emit(cluster.Instr{Op: cluster.OpRotate, Src1: arg(0), Imm: v.K})
 	case OpConjugate:
 		emit(cluster.Instr{Op: cluster.OpConjugate, Src1: arg(0)})
+	case OpModRaise:
+		emit(cluster.Instr{Op: cluster.OpRaise, Src1: arg(0)})
 	case OpDiagMac:
 		src := arg(0) // the basket collapsed to its source register
 		var acc string
 		for j, k := range v.Rots {
-			pt, err := c.encode(v.Plains[j], v.Level)
+			pt, err := c.encode(plainKey{plain: v.Plains[j], level: v.Level})
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"hydra/internal/ckks"
+	"hydra/internal/cluster"
 )
 
 // runClusterDifferential compiles src both ways and executes each on the
@@ -91,4 +94,44 @@ func TestClusterSingleCard(t *testing.T) {
 		}
 		return p
 	}, 2, 1, 1e-5)
+}
+
+// TestClusterSharesPlaintexts pins that a plaintext operand every card's
+// closure needs (here a MulPlain and a MulConst under two terms dealt to
+// different cards) is encoded once per lowering and shared by the cards.
+func TestClusterSharesPlaintexts(t *testing.T) {
+	b := NewBuilder(16)
+	x := b.Input("x")
+	m := b.MulConst(b.MulPlain(x, onesPlain(b, "w")), 0.5)
+	b.Output(b.Add(b.Rotate(m, 1), b.Rotate(m, 2)))
+	src, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := CompileNaive(src, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := newTestEnv(t, 5, 3, nil, false)
+	progs, err := LowerCluster(p, te.enc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plains := func(card int) (pts []*ckks.Plaintext) {
+		for _, ins := range progs[card] {
+			if ins.Op == cluster.OpPMult {
+				pts = append(pts, ins.Plain)
+			}
+		}
+		return pts
+	}
+	p0, p1 := plains(0), plains(1)
+	if len(p0) != 2 || len(p1) != 2 {
+		t.Fatalf("cards encode %d and %d plaintexts, want 2 each", len(p0), len(p1))
+	}
+	for i := range p0 {
+		if p0[i] != p1[i] {
+			t.Errorf("plaintext %d is encoded separately per card", i)
+		}
+	}
 }

@@ -217,6 +217,17 @@ func (e *evalLowering) lower(v *Value) error {
 		out.DropLevel(v.K)
 		e.deg1[v] = out
 
+	case OpModRaise:
+		a, err := e.ct(v.Args[0])
+		if err != nil {
+			return err
+		}
+		out := ev.RaiseModulus(a)
+		if out.Level() != e.p.InputLevel {
+			return fmt.Errorf("modraise reached level %d, program budget is %d", out.Level(), e.p.InputLevel)
+		}
+		e.deg1[v] = out
+
 	case OpRotate:
 		if v.Hoist != 0 {
 			m, err := e.hoistGroup(v)

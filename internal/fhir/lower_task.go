@@ -57,7 +57,7 @@ func opCounts(v *Value, relinFused, mulFused map[*Value]bool) fheop.Counts {
 		return fheop.Of(fheop.PMult, len(v.Rots), fheop.HAdd, len(v.Rots)-1)
 	case OpRotSum:
 		return fheop.Of(fheop.Rotation, nonzero(v.Rots), fheop.HAdd, len(v.Rots)-1)
-	default: // OpInput, OpModSwitch: no accelerator work
+	default: // OpInput, OpModSwitch, OpModRaise: no accelerator work
 		return fheop.Counts{}
 	}
 }

@@ -18,10 +18,12 @@ type LegalizeOptions struct {
 // Legalize computes the (level, pend, degree) fact for every value and
 // inserts the Rescale and ModSwitch operations that make the program
 // executable: binary operations receive level-aligned, scale-matched
-// operands, multiplicative operations receive canonical-scale operands, and
-// the output leaves at the canonical scale. It returns a new program (the
-// input is unchanged) with Legal set, or an error if the program exceeds the
-// depth budget or violates degree rules.
+// operands, multiplicative operations receive canonical-scale operands, a
+// ModRaise receives a canonical operand mod-switched to level 0 (its result
+// sits at the full budget again), and the output leaves at the canonical
+// scale. It returns a new program (the input is unchanged) with Legal set,
+// or an error if the program exceeds the depth budget or violates degree
+// rules.
 func Legalize(p *Program, opts LegalizeOptions) (*Program, error) {
 	if opts.Levels <= 0 {
 		return nil, fmt.Errorf("fhir: legalize needs a positive level budget")
@@ -217,6 +219,17 @@ func (l *legalizer) lower(v *Value, rep map[*Value]*Value) (*Value, error) {
 		nv := l.emit(&Value{Op: OpRelin, Args: []*Value{a},
 			Level: a.Level, Pend: a.Pend, Degree: 1})
 		return l.settle(nv)
+
+	case OpModRaise:
+		a, err := l.canonical(args[0])
+		if err != nil {
+			return nil, err
+		}
+		if err := deg1(a); err != nil {
+			return nil, err
+		}
+		return l.emit(&Value{Op: OpModRaise, Args: []*Value{l.drop(a, 0)},
+			Level: l.opts.Levels, Pend: 0, Degree: 1}), nil
 
 	case OpRescale:
 		return l.rescale(args[0])

@@ -187,8 +187,8 @@ func (bt *Bootstrapper) applyDFT(lt *LinearTransform, ct *ckks.Ciphertext) (*ckk
 
 // CoeffToSlotTransforms exposes the four CoeffToSlot transforms (with the
 // Δ/q0 factor folded in), in the pairing Bootstrap uses: u0 = P·z + Q·conj(z),
-// u1 = R·z + S·conj(z). Exported so external engines (the conformance
-// harness's cluster lowering) can re-emit the same pipeline.
+// u1 = R·z + S·conj(z). Exported so external frontends (the conformance
+// harness's IR bootstrap) can re-emit the same pipeline.
 func (bt *Bootstrapper) CoeffToSlotTransforms() (p, q, r, s *LinearTransform) {
 	return bt.ltP, bt.ltQ, bt.ltR, bt.ltS
 }
@@ -352,6 +352,33 @@ func (bt *Bootstrapper) Bootstrap(ct *ckks.Ciphertext) (*ckks.Ciphertext, error)
 	return out, nil
 }
 
+// SineTaylor returns the small-angle Taylor pair the sine evaluation starts
+// from: sin y up to y^deg (odd terms) and cos y up to y^(deg+1) (even terms),
+// as monomial coefficients. Exported so other frontends (the conformance
+// harness's IR bootstrap) evaluate the identical polynomials.
+func SineTaylor(deg int) (sinCoeffs, cosCoeffs []float64) {
+	sinCoeffs = make([]float64, deg+1)
+	cosCoeffs = make([]float64, deg+2)
+	fact := 1.0
+	for i := 0; i <= deg+1; i++ {
+		if i > 0 {
+			fact *= float64(i)
+		}
+		term := 1 / fact
+		if i%4 >= 2 {
+			term = -term
+		}
+		if i%2 == 1 {
+			if i <= deg {
+				sinCoeffs[i] = term
+			}
+		} else {
+			cosCoeffs[i] = term
+		}
+	}
+	return sinCoeffs, cosCoeffs
+}
+
 // evalSine evaluates sin(2πx) via a small-angle Taylor pair and DAFIters
 // double-angle iterations.
 func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
@@ -360,26 +387,7 @@ func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 	// Pre-scale the argument (y = θ·u) so the Taylor coefficients are O(1)
 	// and survive fixed-point encoding.
 	y := bt.eval.Rescale(bt.eval.MulByConst(u, theta))
-	sinCoeffs := make([]float64, deg+1) // odd series up to y^deg
-	cosCoeffs := make([]float64, deg+2) // even series up to y^(deg+1)
-	fact := 1.0
-	for i := 0; i <= deg+1; i++ {
-		if i > 0 {
-			fact *= float64(i)
-		}
-		term := 1 / fact
-		sign := 1.0
-		if i%4 >= 2 {
-			sign = -1
-		}
-		if i%2 == 1 {
-			if i <= deg {
-				sinCoeffs[i] = sign * term
-			}
-		} else if i <= deg+1 {
-			cosCoeffs[i] = sign * term
-		}
-	}
+	sinCoeffs, cosCoeffs := SineTaylor(deg)
 	s, err := EvaluateTree(bt.eval, y, Polynomial{Coeffs: sinCoeffs})
 	if err != nil {
 		return nil, err
@@ -396,11 +404,4 @@ func (bt *Bootstrapper) evalSine(u *ckks.Ciphertext) (*ckks.Ciphertext, error) {
 		c = bt.eval.AddConst(negss2, 1) // cos(2x) = 1 - 2 sin²x
 	}
 	return s, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,7 @@
 // the CKKS scheme and by the Hydra accelerator model: 64-bit modular
 // arithmetic (Barrett and Shoup reductions, lazy [0,2q) variants, fused
 // multiply-accumulate kernels), the negacyclic NTT (merged-twist lazy
-// radix-4 default plus radix-2/radix-4 reference kernels), RNS polynomials
+// radix-4 default plus the radix-2 reference kernels), RNS polynomials
 // over a chain of NTT-friendly primes, and Galois automorphisms.
 //
 // All moduli are required to satisfy q < 2^62 so that lazy additions of up to

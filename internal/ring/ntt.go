@@ -23,10 +23,9 @@ import "sync"
 //     dataflow, not separate memory passes.
 //   - ForwardReference/InverseReference keep the textbook five-pass radix-2
 //     pipeline (twist, bit-reverse, per-stage full reductions, untwist) as
-//     the bit-identity oracle, and ForwardRadix4 keeps the previous
-//     non-merged radix-4 variant as the benchmark baseline.
+//     the bit-identity oracle.
 //
-// All kernels are bit-identical: same input, same canonical output.
+// Both kernels are bit-identical: same input, same canonical output.
 type NTTTable struct {
 	N      int
 	LogN   int
@@ -245,16 +244,6 @@ func (t *NTTTable) InverseReference(a []uint64) {
 	t.bitReverse(a)
 	t.cyclicInverseRadix2(a)
 	t.untwist(a)
-}
-
-// ForwardRadix4 computes the same transform with the previous generation's
-// kernel: separate twist and bit-reverse passes, then fused two-stage
-// (radix-4) full-reduction butterflies. Kept as the benchmark baseline the
-// merged kernel is measured against.
-func (t *NTTTable) ForwardRadix4(a []uint64) {
-	t.twist(a)
-	t.bitReverse(a)
-	t.cyclicForwardRadix4(a)
 }
 
 // forwardMergedLazy runs the ψ-merged Cooley–Tukey network on natural-order
@@ -484,61 +473,6 @@ func (t *NTTTable) cyclicForwardRadix2(a []uint64) {
 				v := MulModShoup(a[k+j+h], w, ws, q)
 				a[k+j] = AddMod(u, v, q)
 				a[k+j+h] = SubMod(u, v, q)
-			}
-		}
-	}
-}
-
-// cyclicForwardRadix4 fuses pairs of radix-2 stages into radix-4 butterflies.
-// If log2(N) is odd, a single radix-2 stage runs first so the remaining stage
-// count is even. The output is bit-for-bit identical to cyclicForwardRadix2.
-func (t *NTTTable) cyclicForwardRadix4(a []uint64) {
-	q := t.Mod.Q
-	n := t.N
-	h := 1
-	if t.LogN%2 == 1 {
-		// Single leading radix-2 stage (h = 1): butterfly neighbours with
-		// twiddle ω^0 = 1.
-		for k := 0; k < n; k += 2 {
-			u, v := a[k], a[k+1]
-			a[k] = AddMod(u, v, q)
-			a[k+1] = SubMod(u, v, q)
-		}
-		h = 2
-	}
-	for ; h < n; h <<= 2 {
-		stepA := n / (2 * h) // twiddle stride of the first fused stage
-		stepB := stepA / 2   // twiddle stride of the second fused stage
-		for k := 0; k < n; k += 4 * h {
-			for j := 0; j < h; j++ {
-				wA := t.omegaPows[stepA*j]
-				wAs := t.omegaPowsShoup[stepA*j]
-				wB := t.omegaPows[stepB*j]
-				wBs := t.omegaPowsShoup[stepB*j]
-				wB2 := t.omegaPows[stepB*(j+h)]
-				wB2s := t.omegaPowsShoup[stepB*(j+h)]
-
-				x0 := a[k+j]
-				x1 := a[k+j+h]
-				x2 := a[k+j+2*h]
-				x3 := a[k+j+3*h]
-
-				// Stage A: blocks (x0,x1) and (x2,x3), same twiddle pattern.
-				v := MulModShoup(x1, wA, wAs, q)
-				y0 := AddMod(x0, v, q)
-				y1 := SubMod(x0, v, q)
-				v = MulModShoup(x3, wA, wAs, q)
-				y2 := AddMod(x2, v, q)
-				y3 := SubMod(x2, v, q)
-
-				// Stage B: blocks (y0,y2) with twiddle index j and (y1,y3)
-				// with twiddle index j+h.
-				v = MulModShoup(y2, wB, wBs, q)
-				a[k+j] = AddMod(y0, v, q)
-				a[k+j+2*h] = SubMod(y0, v, q)
-				v = MulModShoup(y3, wB2, wB2s, q)
-				a[k+j+h] = AddMod(y1, v, q)
-				a[k+j+3*h] = SubMod(y1, v, q)
 			}
 		}
 	}

@@ -272,20 +272,6 @@ func (r *Ring) NTT(p *Poly) {
 	p.IsNTT = true
 }
 
-// NTTRadix4 is NTT using the previous-generation radix-4 kernel (separate
-// twist and bit-reverse passes, full reductions). Kept as the ablation
-// baseline the merged default is benchmarked against; new code should call
-// NTT.
-func (r *Ring) NTTRadix4(p *Poly) {
-	if p.IsNTT {
-		panic("ring: polynomial already in NTT domain")
-	}
-	ForEachLimb(len(p.Coeffs), func(i int) {
-		r.Tables[i].ForwardRadix4(p.Coeffs[i])
-	})
-	p.IsNTT = true
-}
-
 // INTT transforms p (in place) back to the coefficient domain.
 func (r *Ring) INTT(p *Poly) {
 	if !p.IsNTT {

@@ -10,8 +10,22 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+echo "== gofmt (every Go file must be formatted)"
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "ci: gofmt -l lists unformatted files (run 'gofmt -w' on them):" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
+
 echo "== go vet"
 go vet ./...
+
+echo "== go vet (e2ebench module)"
+# The end-to-end benchmark is its own module (replace hydra => ../), so the
+# tier-1 build never compiles it; vetting it here catches API changes in
+# fhir/serve/cluster/ckks that would break the benchmark build.
+(cd e2ebench && go vet ./...)
 
 echo "== hydra-lint (FHE + concurrency invariants)"
 # Tree-wide run in JSON mode, against a wall-clock budget: the SSA-lite
@@ -69,8 +83,9 @@ go test -race -short "$@" ./internal/hefloat/
 
 echo "== go test -race -short (conformance reduced matrix)"
 # The cross-engine matrix minus the heavy bootstrap program: every remaining
-# program still runs on all five engines, with the cluster engine exercising
-# the goroutine-card runtime under the race detector.
+# program still runs on all five engines, with the cluster and ir engines
+# driving fhir.LowerCluster streams through the serving layer onto the
+# goroutine-card runtime under the race detector.
 go test -race -short "$@" ./internal/conformance/
 
 echo "== go test (full tier-1 suite)"
@@ -100,7 +115,7 @@ go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
 
 echo "== bench harness smoke (1 iteration per benchmark)"
 # Write to a scratch directory: the smoke run validates the harness and the
-# JSON writers for all four suites without clobbering the checked-in
+# JSON writers for every suite without clobbering the checked-in
 # measured BENCH_*.json files.
 SMOKE_DIR="$(mktemp -d)"
 BENCH_DIR="$SMOKE_DIR" sh scripts/bench.sh smoke >/dev/null
