@@ -61,11 +61,13 @@ serve-bench:
 compile-bench:
 	sh scripts/bench.sh compile
 
-# Short fuzz passes: the ISA task-program decoder, and the differential
-# modular-arithmetic fuzzer (Barrett/Shoup/Montgomery vs math/big).
+# Short fuzz passes: the ISA task-program decoder, the differential
+# modular-arithmetic fuzzer (Barrett/Shoup/Montgomery vs math/big), and the
+# ciphertext wire decoder.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=20s ./internal/isa/
 	$(GO) test -fuzz=FuzzModularOps -fuzztime=10s -run '^$$' ./internal/ring/
+	$(GO) test -fuzz='^FuzzUnmarshalCiphertext$$' -fuzztime=10s -run '^$$' ./internal/ckks/
 
 # Regenerate the experiment golden snapshots after an intentional change.
 golden-update:

@@ -336,42 +336,64 @@ func (ev *Evaluator) divRoundByModulus(p *ring.Poly, top int) *ring.Poly {
 // Rotate rotates slots left by rot positions using the evaluator's rotation
 // keys. Rotate(ct, r) places old slot j+r in new slot j.
 func (ev *Evaluator) Rotate(ct *Ciphertext, rot int) *Ciphertext {
-	k := ring.GaloisElementForRotation(ev.params.N(), rot)
-	return ev.automorphism(ct, k)
+	return ev.applyGalois(ct, []uint64{ring.GaloisElementForRotation(ev.params.N(), rot)})[0]
 }
 
 // Conjugate applies complex conjugation to every slot.
 func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
-	k := ring.GaloisElementConjugate(ev.params.N())
-	return ev.automorphism(ct, k)
+	return ev.applyGalois(ct, []uint64{ring.GaloisElementConjugate(ev.params.N())})[0]
 }
 
-func (ev *Evaluator) automorphism(ct *Ciphertext, k uint64) *Ciphertext {
-	if k == 1 {
-		return ct.CopyNew()
+// RotateHoisted rotates ct by every index in rots, decomposing the
+// ciphertext once and reusing the extended digits for each rotation — the
+// hoisting optimization that makes BSGS baby steps cheap. Every result is
+// bit-identical to the per-index Rotate call.
+func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Ciphertext {
+	rots, ks := ev.galoisElements(rots)
+	out := make(map[int]*Ciphertext, len(rots))
+	for i, res := range ev.applyGalois(ct, ks) {
+		out[rots[i]] = res
 	}
-	if ev.rtks == nil {
-		panic("ckks: evaluator has no rotation keys")
-	}
-	swk, ok := ev.rtks.Keys[k]
-	if !ok {
-		panic(fmt.Sprintf("ckks: missing rotation key for Galois element %d", k))
-	}
-	r := ev.params.RingQP()
-	lvl := ct.Level()
-	perm := ring.AutomorphismNTTIndex(r.N, k)
+	return out
+}
 
-	// The automorphism is fused into the keyswitch MAC as an index gather
-	// (decomposition commutes with the coefficient permutation), so τ_k(c1)
-	// is never materialized.
-	h := ev.decomposeExt(ct.C1)
-	ks0, ks1 := ev.ksFromDecomp(h, perm, swk)
-	h.release(r)
+// applyGalois applies the automorphism of every Galois element in ks to ct and
+// returns the Q-basis results in order: the identity element is a plain
+// copy (no NTTs), every other element is ModDownExt over the shared
+// extended-basis core rotateExt, each ModDown paid as soon as its element
+// is produced.
+func (ev *Evaluator) applyGalois(ct *Ciphertext, ks []uint64) []*Ciphertext {
+	out := make([]*Ciphertext, len(ks))
+	var idx []int
+	var rest []uint64
+	for i, k := range ks {
+		if k == 1 {
+			out[i] = ct.CopyNew()
+			continue
+		}
+		idx = append(idx, i)
+		rest = append(rest, k)
+	}
+	ev.rotateExt(ct, rest, func(i int, e *ExtCiphertext) {
+		out[idx[i]] = ev.ModDownExt(e)
+	})
+	return out
+}
 
-	rc0 := r.NewPoly(lvl)
-	r.AutomorphismNTT(ct.C0, perm, rc0)
-	r.Add(rc0, ks0, rc0)
-	return &Ciphertext{C0: rc0, C1: ks1, Scale: ct.Scale}
+// galoisElements drops repeated rotations (first occurrences kept, in
+// order) and maps each remaining rotation to its Galois element.
+func (ev *Evaluator) galoisElements(rots []int) ([]int, []uint64) {
+	seen := make(map[int]bool, len(rots))
+	var uniq []int
+	var ks []uint64
+	for _, rot := range rots {
+		if !seen[rot] {
+			seen[rot] = true
+			uniq = append(uniq, rot)
+			ks = append(ks, ring.GaloisElementForRotation(ev.params.N(), rot))
+		}
+	}
+	return uniq, ks
 }
 
 // hoistedDecomp holds the digit decomposition of a polynomial, extended to
@@ -391,17 +413,12 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 	r := ev.params.RingQP()
 	lvl := d.Level()
 	n := r.N
-	pIdx := ev.params.SpecialIndex()
 
 	dCoeff := r.GetScratch(lvl)
 	dCoeff.Copy(d)
 	r.INTT(dCoeff)
 
-	h := &hoistedDecomp{lvl: lvl, modIdx: make([]int, lvl+2)}
-	for j := 0; j <= lvl; j++ {
-		h.modIdx[j] = j
-	}
-	h.modIdx[lvl+1] = pIdx
+	h := &hoistedDecomp{lvl: lvl, modIdx: ev.extModIdx(lvl)}
 
 	// Extension pass: lift every digit to every extended modulus. The NTTs
 	// are deferred so they can be regrouped per table below.
@@ -425,15 +442,13 @@ func (ev *Evaluator) decomposeExt(d *ring.Poly) *hoistedDecomp {
 		h.digits[i] = rows
 	})
 	// Transform pass, regrouped per extended modulus: all lvl+1 digits' rows
-	// for one table go through that table's ForwardBatch, loading its twiddle
-	// tables and scratch row once and streaming them across the digits,
-	// instead of interleaving tables digit by digit.
+	// for one table run back to back on that table's twiddles, instead of
+	// interleaving tables digit by digit.
 	ring.ForEachLimb(lvl+2, func(jj int) {
-		rows := make([][]uint64, lvl+1)
+		t := r.Tables[h.modIdx[jj]]
 		for i := 0; i <= lvl; i++ {
-			rows[i] = h.digits[i][jj]
+			t.Forward(h.digits[i][jj])
 		}
-		r.Tables[h.modIdx[jj]].ForwardBatch(rows)
 	})
 	r.PutScratch(dCoeff)
 	return h
@@ -493,23 +508,6 @@ func (ev *Evaluator) ksAccum(h *hoistedDecomp, perm []int, swk *SwitchingKey) (a
 	return acc0, acc1
 }
 
-// ksFromDecomp multiply-accumulates a hoisted decomposition against a
-// switching key (optionally fusing an automorphism gather, see ksAccum) and
-// performs the ModDown immediately — the classic single-hoisted keyswitch.
-// The double-hoisted path instead keeps the ksAccum output in the extended
-// basis (ExtCiphertext) and defers the ModDown across many operations.
-func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKey) (out0, out1 *ring.Poly) {
-	r := ev.params.RingQP()
-	acc0, acc1 := ev.ksAccum(h, perm, swk)
-	out0 = ev.modDownP(acc0, h.modIdx, h.lvl)
-	out1 = ev.modDownP(acc1, h.modIdx, h.lvl)
-	for jj := range acc0 {
-		r.PutRow(acc0[jj])
-		r.PutRow(acc1[jj])
-	}
-	return out0, out1
-}
-
 // keySwitch applies swk to the degree-1 part d (NTT domain, level l),
 // returning the pair to fold into a ciphertext: (out0, out1) such that
 // out0 + out1·sOut ≈ d·sIn.
@@ -518,52 +516,17 @@ func (ev *Evaluator) ksFromDecomp(h *hoistedDecomp, perm []int, swk *SwitchingKe
 // each residue of d is a digit; digits are extended to all active moduli plus
 // P, multiplied against the key, accumulated, and the result divided by P.
 func (ev *Evaluator) keySwitch(d *ring.Poly, swk *SwitchingKey) (out0, out1 *ring.Poly) {
-	h := ev.decomposeExt(d)
-	out0, out1 = ev.ksFromDecomp(h, nil, swk)
-	h.release(ev.params.RingQP())
-	return out0, out1
-}
-
-// RotateHoisted rotates ct by every index in rots, decomposing the
-// ciphertext once and reusing the extended digits for each rotation — the
-// hoisting optimization that makes BSGS baby steps cheap. Results decrypt
-// identically to per-index Rotate calls (the digit lift differs, the values
-// do not).
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rots []int) map[int]*Ciphertext {
-	if ev.rtks == nil {
-		panic("ckks: evaluator has no rotation keys")
-	}
 	r := ev.params.RingQP()
-	lvl := ct.Level()
-	out := make(map[int]*Ciphertext, len(rots))
-	var h *hoistedDecomp
-	for _, rot := range rots {
-		if _, done := out[rot]; done {
-			continue
-		}
-		k := ring.GaloisElementForRotation(ev.params.N(), rot)
-		if k == 1 {
-			out[rot] = ct.CopyNew()
-			continue
-		}
-		swk, ok := ev.rtks.Keys[k]
-		if !ok {
-			panic(fmt.Sprintf("ckks: missing rotation key for Galois element %d", k))
-		}
-		if h == nil {
-			h = ev.decomposeExt(ct.C1)
-		}
-		perm := ring.AutomorphismNTTIndex(r.N, k)
-		ks0, ks1 := ev.ksFromDecomp(h, perm, swk)
-		rc0 := r.NewPoly(lvl)
-		r.AutomorphismNTT(ct.C0, perm, rc0)
-		r.Add(rc0, ks0, rc0)
-		out[rot] = &Ciphertext{C0: rc0, C1: ks1, Scale: ct.Scale}
+	h := ev.decomposeExt(d)
+	acc0, acc1 := ev.ksAccum(h, nil, swk)
+	h.release(r)
+	out0 = ev.modDownP(acc0, h.modIdx, h.lvl)
+	out1 = ev.modDownP(acc1, h.modIdx, h.lvl)
+	for jj := range acc0 {
+		r.PutRow(acc0[jj])
+		r.PutRow(acc1[jj])
 	}
-	if h != nil {
-		h.release(r)
-	}
-	return out
+	return out0, out1
 }
 
 // modDownP divides the accumulated extended polynomial by P with rounding,

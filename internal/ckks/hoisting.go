@@ -88,26 +88,30 @@ func (ev *Evaluator) liftExt(ct *Ciphertext) *ExtCiphertext {
 // results (MulPlainExtAcc / AddExtAcc) and pays one ModDownExt for the whole
 // group instead of one ModDown pair per rotation.
 func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCiphertext {
+	rots, ks := ev.galoisElements(rots)
+	out := make(map[int]*ExtCiphertext, len(rots))
+	ev.rotateExt(ct, ks, func(i int, e *ExtCiphertext) { out[rots[i]] = e })
+	return out
+}
+
+// rotateExt is the evaluator's one rotation keyswitch. It applies the
+// automorphism of every Galois element in ks to ct in the extended basis and
+// hands each result to emit(i, ·) as soon as it is produced, in order. The
+// identity element is the lift P·ct; every other element decomposes c1 once
+// for the whole set (decomposeExt), runs the gather-fused keyswitch MAC
+// (ksAccum) and folds P·τ_k(c0) into the c0 accumulator. Since that fold is
+// an exact multiple of P, ModDownExt of the result equals the classic
+// ModDown(keyswitch) + τ_k(c0) bit for bit.
+func (ev *Evaluator) rotateExt(ct *Ciphertext, ks []uint64, emit func(i int, e *ExtCiphertext)) {
 	r := ev.params.RingQP()
 	lvl := ct.Level()
-	out := make(map[int]*ExtCiphertext, len(rots))
 	var h *hoistedDecomp
-	for _, rot := range rots {
-		if _, done := out[rot]; done {
-			continue
-		}
-		k := ring.GaloisElementForRotation(ev.params.N(), rot)
+	for i, k := range ks {
 		if k == 1 {
-			out[rot] = ev.liftExt(ct)
+			emit(i, ev.liftExt(ct))
 			continue
 		}
-		if ev.rtks == nil {
-			panic("ckks: evaluator has no rotation keys")
-		}
-		swk, ok := ev.rtks.Keys[k]
-		if !ok {
-			panic(fmt.Sprintf("ckks: missing rotation key for Galois element %d", k))
-		}
+		swk := ev.rotationKey(k)
 		if h == nil {
 			h = ev.decomposeExt(ct.C1)
 		}
@@ -120,56 +124,35 @@ func (ev *Evaluator) RotateHoistedExt(ct *Ciphertext, rots []int) map[int]*ExtCi
 			m := r.Tables[j].Mod
 			m.MulAddShoupRowLazyGather(acc0[j], ct.C0.Coeffs[j], ev.pModQi[j], ev.pModQiShoup[j], perm)
 		})
-		out[rot] = &ExtCiphertext{Lvl: lvl, ModIdx: ev.extModIdx(lvl), C0: acc0, C1: acc1, Scale: ct.Scale}
+		emit(i, &ExtCiphertext{Lvl: lvl, ModIdx: ev.extModIdx(lvl), C0: acc0, C1: acc1, Scale: ct.Scale})
 	}
 	if h != nil {
 		h.release(r)
 	}
-	return out
 }
 
-// RotateExt is the single-rotation form of RotateHoistedExt.
-func (ev *Evaluator) RotateExt(ct *Ciphertext, rot int) *ExtCiphertext {
-	return ev.RotateHoistedExt(ct, []int{rot})[rot]
+// rotationKey returns the switching key for Galois element k.
+func (ev *Evaluator) rotationKey(k uint64) *SwitchingKey {
+	if ev.rtks == nil {
+		panic("ckks: evaluator has no rotation keys")
+	}
+	swk, ok := ev.rtks.Keys[k]
+	if !ok {
+		panic(fmt.Sprintf("ckks: missing rotation key for Galois element %d", k))
+	}
+	return swk
 }
 
-// MulPlainExtAcc accumulates x ⊙ pt into acc in place over the extended
-// basis: acc += x ⊙ pt row-wise, including the P-row, with every row staying
-// lazy in [0, 2q). Levels must match between x and acc; pt must be encoded at
-// x's level or above. acc's scale must already equal x.Scale·pt.Scale.
-func (ev *Evaluator) MulPlainExtAcc(x *ExtCiphertext, pt *ExtPlaintext, acc *ExtCiphertext) {
-	if x.Lvl != acc.Lvl {
-		panic(fmt.Sprintf("ckks: level mismatch in MulPlainExtAcc: %d vs %d", x.Lvl, acc.Lvl))
-	}
-	if pt.Lvl < x.Lvl {
-		panic(fmt.Sprintf("ckks: plaintext level %d below ciphertext level %d in MulPlainExtAcc", pt.Lvl, x.Lvl))
-	}
-	if !sameScale(acc.Scale, x.Scale*pt.Scale) {
-		panic(fmt.Sprintf("ckks: scale mismatch in MulPlainExtAcc: %g vs %g", acc.Scale, x.Scale*pt.Scale))
-	}
-	r := ev.params.RingQP()
-	special := ev.params.SpecialIndex()
-	ring.ForEachLimb(x.Lvl+2, func(jj int) {
-		tblIdx := x.ModIdx[jj]
-		m := r.Tables[tblIdx].Mod
-		prow := pt.row(tblIdx, special)
-		// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps the
-		// 128-bit product within the q·2^64 Barrett budget.
-		m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
-		m.MulAddRowLazy(acc.C1[jj], x.C1[jj], prow)
-	})
-}
-
-// MulPlainExtAccBatch folds a whole sequence of (x, pt) products into acc in
-// one pass: acc += Σ xs[ti] ⊙ pts[ti], row-wise over the extended basis. Per
-// accumulator row, every term of the sequence streams through while that row
-// stays resident — a BSGS giant step folds all its diagonals in one sweep of
-// the accumulator instead of re-walking it per diagonal. The per-pair
-// contracts of MulPlainExtAcc apply; results are bit-identical to the
-// sequential per-pair calls.
-func (ev *Evaluator) MulPlainExtAccBatch(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
+// MulPlainExtAcc folds a sequence of (x, pt) products into acc in one pass:
+// acc += Σ xs[ti] ⊙ pts[ti], row-wise over the extended basis including the
+// P-row, every row staying lazy in [0, 2q). Per accumulator row, every term
+// streams through while that row stays resident — a BSGS giant step folds
+// all its diagonals in one sweep of the accumulator instead of re-walking it
+// per diagonal. Each x must sit at acc's level, each pt at that level or
+// above, and acc's scale must already equal x.Scale·pt.Scale.
+func (ev *Evaluator) MulPlainExtAcc(xs []*ExtCiphertext, pts []*ExtPlaintext, acc *ExtCiphertext) {
 	if len(xs) != len(pts) {
-		panic("ckks: MulPlainExtAccBatch length mismatch")
+		panic("ckks: MulPlainExtAcc length mismatch")
 	}
 	for ti, x := range xs {
 		if x.Lvl != acc.Lvl {
@@ -188,6 +171,8 @@ func (ev *Evaluator) MulPlainExtAccBatch(xs []*ExtCiphertext, pts []*ExtPlaintex
 		tblIdx := acc.ModIdx[jj]
 		m := r.Tables[tblIdx].Mod
 		for ti, x := range xs {
+			// Lazy row MAC: x rows < 2q times canonical pt rows < q keeps
+			// the 128-bit product within the q·2^64 Barrett budget.
 			prow := pts[ti].row(tblIdx, special)
 			m.MulAddRowLazy(acc.C0[jj], x.C0[jj], prow)
 			m.MulAddRowLazy(acc.C1[jj], x.C1[jj], prow)

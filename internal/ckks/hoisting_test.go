@@ -22,7 +22,7 @@ func TestRotateExtBitIdenticalToRotate(t *testing.T) {
 	ct := tc.encr.Encrypt(pt)
 
 	for _, rot := range append([]int{0}, rots...) {
-		got := tc.eval.ModDownExt(tc.eval.RotateExt(ct, rot))
+		got := tc.eval.ModDownExt(tc.eval.RotateHoistedExt(ct, []int{rot})[rot])
 		want := tc.eval.Rotate(ct, rot)
 		if err := ctBitIdentical(got, want); err != nil {
 			t.Errorf("rot %d: extended-basis path differs from Rotate: %v", rot, err)
@@ -56,8 +56,8 @@ func TestMulPlainExtAccBitIdenticalToMulPlain(t *testing.T) {
 	}
 
 	acc := tc.eval.NewExtAccumulator(lvl, ct.Scale*scale)
-	lift := tc.eval.RotateExt(ct, 0)
-	tc.eval.MulPlainExtAcc(lift, wExt, acc)
+	lift := tc.eval.RotateHoistedExt(ct, []int{0})[0]
+	tc.eval.MulPlainExtAcc([]*ExtCiphertext{lift}, []*ExtPlaintext{wExt}, acc)
 	tc.eval.ReleaseExt(lift)
 	got := tc.eval.ModDownExt(acc)
 
@@ -127,7 +127,7 @@ func TestParallelSerialDifferentialExt(t *testing.T) {
 				exts := tc.eval.RotateHoistedExt(ct, rots)
 				acc := tc.eval.NewExtAccumulator(ct.Level(), ct.Scale*wExt.Scale)
 				for _, rot := range rots {
-					tc.eval.MulPlainExtAcc(exts[rot], wExt, acc)
+					tc.eval.MulPlainExtAcc([]*ExtCiphertext{exts[rot]}, []*ExtPlaintext{wExt}, acc)
 					tc.eval.ReleaseExt(exts[rot])
 				}
 				return tc.eval.ModDownExt(acc)

@@ -365,7 +365,7 @@ func (r *ctRun) call(call *ast.CallExpr, s state[ctFact], rep bool) ctFact {
 		}
 		return f
 
-	case "Rotate", "Conjugate", "Neg", "CopyNew", "RotateExt":
+	case "Rotate", "Conjugate", "Neg", "CopyNew":
 		f, _ := r.operand(cts[0], s, rep)
 		return f
 

@@ -57,16 +57,6 @@ func (t *NTTTable) SetGenerated(on bool) {
 	t.useGenerated = on && t.GeneratedAvailable()
 }
 
-// SetGeneratedNTT flips every limb's generated-kernel dispatch (see
-// NTTTable.SetGenerated). The families are bit-identical, so results must
-// not change; false recovers the generic per-limb merged kernel, the
-// baseline the batch benchmarks compare against.
-func (r *Ring) SetGeneratedNTT(on bool) {
-	for _, t := range r.Tables {
-		t.SetGenerated(on)
-	}
-}
-
 // initGenerated wires a freshly built table to its specialized kernels, if
 // any. Called from NewNTTTable.
 func (t *NTTTable) initGenerated() {

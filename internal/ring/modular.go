@@ -242,79 +242,6 @@ func (m Modulus) MulAddRowLazyGather(acc, a, b []uint64, perm []int) {
 	}
 }
 
-// macChunk is the key-row block the batched MACs process per accumulator
-// pass: 512 elements (4 KiB) stay L1-resident while every batch member folds
-// them in, so the switching-key traffic is paid once per batch instead of
-// once per ciphertext — without fanning out into more concurrent memory
-// streams than the prefetchers track (a fully j-outer loop touches
-// 2·batch+1 streams per element and measures slower than the scalar loop).
-const macChunk = 512
-
-// MulAddRowLazyBatch folds one shared key row into a batch of accumulators:
-// accs[i][j] += xs[i][j]*key[j] for every i, under MulAddRowLazy's contract
-// (accs lazy in [0, 2q) on entry and return). The key row is walked in
-// L1-sized chunks, each chunk streamed across the whole batch before the
-// next is touched. Within one accumulator the j order is ascending exactly
-// as in MulAddRowLazy, so the result is bit-identical to the sequential
-// per-accumulator loop.
-func (m Modulus) MulAddRowLazyBatch(accs, xs [][]uint64, key []uint64) {
-	if len(accs) != len(xs) {
-		panic("ring: MulAddRowLazyBatch length mismatch")
-	}
-	twoQ := m.Q << 1
-	for lo := 0; lo < len(key); lo += macChunk {
-		hi := lo + macChunk
-		if hi > len(key) {
-			hi = len(key)
-		}
-		kc := key[lo:hi]
-		for i := range accs {
-			acc, x := accs[i][lo:hi], xs[i][lo:hi]
-			for j := range kc {
-				ph, pl := bits.Mul64(x[j], kc[j])
-				c := acc[j] + m.Reduce128Lazy(ph, pl)
-				if c >= twoQ {
-					c -= twoQ
-				}
-				acc[j] = c
-			}
-		}
-	}
-}
-
-// MulAddRowLazyGatherBatch is MulAddRowLazyBatch with an index gather fused
-// into every source row: accs[i][j] += xs[i][perm[j]]*key[j], the batched
-// form of MulAddRowLazyGather. Each L1-resident chunk of the key row and the
-// permutation walk is reused by every batch member — a batched hoisted
-// rotation applies τ_k to every ciphertext's digits while paying the key and
-// perm traffic once per batch. Bit-identical to the sequential
-// per-accumulator MulAddRowLazyGather loop.
-func (m Modulus) MulAddRowLazyGatherBatch(accs, xs [][]uint64, key []uint64, perm []int) {
-	if len(accs) != len(xs) {
-		panic("ring: MulAddRowLazyGatherBatch length mismatch")
-	}
-	twoQ := m.Q << 1
-	perm = perm[:len(key)]
-	for lo := 0; lo < len(key); lo += macChunk {
-		hi := lo + macChunk
-		if hi > len(key) {
-			hi = len(key)
-		}
-		kc, pc := key[lo:hi], perm[lo:hi]
-		for i := range accs {
-			acc, x := accs[i][lo:hi], xs[i]
-			for j := range kc {
-				ph, pl := bits.Mul64(x[pc[j]], kc[j])
-				c := acc[j] + m.Reduce128Lazy(ph, pl)
-				if c >= twoQ {
-					c -= twoQ
-				}
-				acc[j] = c
-			}
-		}
-	}
-}
-
 // MulAddShoupRowLazy is the row-wide form of MulAddShoupLazy for one constant
 // multiplier: acc[j] += a[j]*w with w < q, wShoup = ShoupPrecomp(w, q), acc
 // lazy in [0, 2q) on entry and on return. a may hold arbitrary uint64 values

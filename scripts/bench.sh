@@ -6,7 +6,8 @@
 # with ns/op, B/op and allocs/op per benchmark — one file per package layer:
 #
 #   BENCH_ring.json     NTT/INTT generations, fused coefficient MAC
-#   BENCH_ckks.json     CMult/relin, direct vs hoisted vs ext-hoisted rotations
+#   BENCH_ckks.json     CMult/relin (serial and parallel), direct vs hoisted vs
+#                       ext-hoisted rotations
 #   BENCH_hefloat.json  naive/BSGS/reference linear transforms, PCMM(+compiled),
 #                       CCMM, BootstrapSmall serial+parallel
 #   BENCH_sched.json    scheduler hot-path microbenchmarks: indexed heap/bitmap
@@ -142,7 +143,7 @@ run_suite \
 	./internal/ring/ "$BENCH_DIR/BENCH_ring.json"
 
 run_suite \
-	'^(BenchmarkCMultRelin|BenchmarkCMultParallel|BenchmarkRotationsDirect|BenchmarkRotationsHoisted|BenchmarkKeySwitch)' \
+	'^(BenchmarkCMultRelin|BenchmarkCMultParallel|BenchmarkRotationsDirect|BenchmarkRotationsHoisted)' \
 	./internal/ckks/ "$BENCH_DIR/BENCH_ckks.json"
 
 run_suite \

@@ -109,9 +109,11 @@ go test -fuzz=FuzzIRPasses -fuzztime=10s -run '^$' ./internal/fhir/
 
 echo "== fuzz smoke (seed corpora + 10s per fuzzer)"
 # Short differential-fuzz passes seeded from testdata/fuzz: the modular
-# arithmetic kernels against math/big, and the ISA decoder against crashes.
+# arithmetic kernels against math/big, the ISA decoder against crashes, and
+# the ciphertext wire decoder against crashes and non-canonical acceptance.
 go test -fuzz=FuzzModularOps -fuzztime=10s -run '^$' ./internal/ring/
 go test -fuzz=FuzzUnmarshal -fuzztime=10s -run '^$' ./internal/isa/
+go test -fuzz='^FuzzUnmarshalCiphertext$' -fuzztime=10s -run '^$' ./internal/ckks/
 
 echo "== bench harness smoke (1 iteration per benchmark)"
 # Write to a scratch directory: the smoke run validates the harness and the
